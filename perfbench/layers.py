@@ -1,8 +1,9 @@
 """The per-layer trace table: what the traced run wraps and what it reports.
 
-Every target names a public function or method of the program by its import
-path.  Renaming or deleting a target (``MicroBatcher``, the ``forward_data``
-twins) makes that metric report 0 and lists the path under
+Every target names a function or method of the program by its import
+path.  Renaming or deleting a target (the ``forward_data`` twins, or
+``InferenceService._submit_sched`` once the static batch path is gone) makes
+that metric report 0 and lists the path under
 ``trace.missing_targets``; it never fails the run.
 
 Layer -> the end-to-end metric it should move, and on which workload:

@@ -1,4 +1,4 @@
-"""In-memory span tracer that wraps a program's public functions from outside.
+"""In-memory span tracer that wraps a program's functions from outside.
 
 The traced run installs :class:`Tracer` wrappers around named functions and
 methods of the program (see :mod:`layers` for the table).  The program's own
