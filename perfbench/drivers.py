@@ -197,11 +197,10 @@ def advise_mix(ctx: Context) -> RunResult:
     client = Client(proc.port)
     lock = threading.Lock()
     timed: list[Served] = []
-    deadline_box: dict[str, float] = {}
 
     def stream_user() -> None:
         for request in streams:
-            if time.perf_counter() >= deadline_box["t"]:
+            if time.perf_counter() >= deadline:
                 return
             served = Served(request, client.stream(request.body()), request.code)
             _record(result, served, lock)
@@ -256,7 +255,7 @@ def advise_mix(ctx: Context) -> RunResult:
 
         while queue and len(outstanding) < JOBS_IN_FLIGHT:
             submit()
-        while time.perf_counter() < deadline_box["t"]:
+        while time.perf_counter() < deadline:
             for job_id in list(outstanding):
                 collect(job_id, final=False)
             while queue and len(outstanding) < JOBS_IN_FLIGHT:
@@ -267,7 +266,7 @@ def advise_mix(ctx: Context) -> RunResult:
 
     cpu0 = proc.cpu_seconds()
     start = time.perf_counter()
-    deadline_box["t"] = start + ctx.seconds
+    deadline = start + ctx.seconds
     threads = [threading.Thread(target=stream_user),
                threading.Thread(target=batch_auditor)]
     for thread in threads:

@@ -61,6 +61,16 @@ def test_edit_replay_edits_keep_the_cache_key():
     assert len(bodies) == len(programs) * 4, "every edited body is unique"
 
 
+def test_spread_prefixes_keep_the_length_profile():
+    ranked = ["x" * length for length in range(1, 201)]
+    for seed in range(5):
+        order = workloads.spread(ranked, seed)
+        assert sorted(order, key=len) == ranked
+        for prefix in (25, 50, 100):
+            mean = sum(map(len, order[:prefix])) / prefix
+            assert abs(mean - 100.5) < 10, (seed, prefix, mean)
+
+
 def test_layout_edit_is_deterministic():
     program = workloads.edit_replay(2)[0]
     assert (workloads.layout_edit(program, random.Random(1), 3)
