@@ -13,11 +13,11 @@ layer metrics                          should move                     on
 =====================================  ==============================  ===========================
 router.*                               latency_p50_ms, throughput_rps  edit-replay
 server.*, api.*                        latency_p50_ms                  edit-replay
-clang/xsbt/tokenization/cache.*        latency_p50_ms, cpu_ms_per_op   edit-replay, advise-mix
-service.anchor_ms, mpirical.package_ms latency_p50_ms                  edit-replay, advise-mix
-sched.*                                ttft_p50_ms, tokens_per_s       advise-mix
-model.* (fast path)                    tokens_per_s, ttft_p50_ms       advise-mix
-jobs.*                                 tokens_per_s                    advise-mix
+clang/xsbt/tokenization/cache.*        latency_p50_ms, cpu_ms_per_op   edit-replay, verify-advise
+service.anchor_ms, mpirical.package_ms latency_p50_ms                  edit-replay, verify-advise
+sched.*                                ttft_p50_ms, tokens_per_s       verify-advise
+model.* (fast path)                    tokens_per_s, ttft_p50_ms       verify-advise
+jobs.*                                 latency_p50_ms, throughput_rps  edit-replay
 verify.*, mpisim.*                     latency_p50_ms, cpu_ms_per_op   verify-advise
 trainer.*                              tokens_per_s                    train-steps
 setup.*                                setup_s                         all

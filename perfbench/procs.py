@@ -110,16 +110,18 @@ class ServingProcess:
                 found.extend(int(c) for c in children.split() if int(c) not in found)
         return found
 
-    def cpu_seconds(self) -> float:
-        """User + system CPU of the process tree (exited children excluded)."""
-        total = 0
+    def cpu_times(self) -> tuple[float, float]:
+        """User and system CPU seconds of the process tree (exited children
+        excluded)."""
+        user = system = 0
         for pid in self.pids():
             try:
                 fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
             except OSError:
                 continue
-            total += int(fields[11]) + int(fields[12])  # utime, stime
-        return total / CLK_TCK
+            user += int(fields[11])
+            system += int(fields[12])
+        return user / CLK_TCK, system / CLK_TCK
 
     def peak_rss_mb(self) -> float:
         """Sum of the peak resident set (VmHWM) over the process tree."""

@@ -1,6 +1,6 @@
 """perfbench: the repository's end-to-end and per-layer benchmark.
 
-    python3 perfbench/run.py --workload advise-mix --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload edit-replay --seed 1 --seconds 15 --trace 0
 
 Runs one workload (see ``BENCHMARK.json`` and ``perfbench/README.md``) from
 the root of a checkout, prints an environment stamp, a table of every metric
@@ -38,16 +38,12 @@ END_TO_END = {
     "setup_s": "s",
     "ttft_p50_ms": "ms",
     "latency_p50_ms": "ms",
-    "latency_p90_ms": "ms",
     "throughput_rps": "1/s",
     "tokens_per_s": "1/s",
     "cpu_ms_per_op": "ms",
     "peak_rss_mb": "MB",
     "exact_match": "share",
 }
-#: The metrics the result line carries.  The p90 is printed but not
-#: reported: only edit-replay has ten samples beyond it in every run.
-REPORTED = [name for name in END_TO_END if name != "latency_p90_ms"]
 
 
 def _checkout_ok() -> bool:
@@ -110,6 +106,53 @@ def _blas_threads() -> int | str:
     return os.environ.get("OPENBLAS_NUM_THREADS", "default")
 
 
+def host_sample() -> dict:
+    """Machine-wide CPU tick counters and load, to diff around a run."""
+    try:
+        fields = [int(v) for v in Path("/proc/stat").read_text().split("\n", 1)[0].split()[1:]]
+        load = float(Path("/proc/loadavg").read_text().split()[0])
+    except (OSError, ValueError, IndexError):
+        return {}
+    idle = fields[3] + (fields[4] if len(fields) > 4 else 0)
+    steal = fields[7] if len(fields) > 7 else 0
+    return {"total": sum(fields[:8]), "idle": idle, "steal": steal, "load1": load,
+            "python_mops": python_speed()}
+
+
+def python_speed(seconds: float = 1.0) -> float:
+    """Pure-Python loop iterations per microsecond: the machine's speed now.
+
+    The median over tenth-second windows of each window's fastest pass, so a
+    figure near the fast phase's speed means the machine was mostly fast.
+    """
+    windows = []
+    for _ in range(max(1, round(seconds * 10))):
+        best = 0.0
+        end = time.perf_counter() + 0.1
+        while time.perf_counter() < end:
+            begin = time.perf_counter()
+            total = 0
+            for value in range(20000):
+                total += value
+            best = max(best, 20000 / ((time.perf_counter() - begin) * 1e6))
+        windows.append(best)
+    return statistics.median(windows)
+
+
+def host_during(before: dict, after: dict) -> dict:
+    """Steal and busy share of the machine between two samples."""
+    if not before or not after:
+        return {}
+    ticks = max(1, after["total"] - before["total"])
+    return {
+        "steal_share": round((after["steal"] - before["steal"]) / ticks, 4),
+        "busy_share": round(1 - (after["idle"] - before["idle"]) / ticks, 4),
+        "load1_after": after["load1"],
+        "python_mops_before": round(before["python_mops"], 2),
+        "python_mops_after": round(after["python_mops"], 2),
+    }
+
+
 def _git_sha() -> str:
     head = ROOT / ".git" / "HEAD"
     try:
@@ -127,15 +170,12 @@ def _git_sha() -> str:
 def end_to_end(result) -> dict[str, tuple[float, str, int]]:
     """name -> (value, unit, samples) for one run."""
     latencies = result.latencies
-    tail = (statistics.quantiles(latencies, n=10)[8]
-            if len(latencies) >= 2 else (latencies[0] if latencies else 0.0))
     values = {
         "setup_s": (statistics.median(result.setup), len(result.setup)),
         "ttft_p50_ms": (statistics.median(result.firsts) * 1000.0
                         if result.firsts else 0.0, len(result.firsts)),
         "latency_p50_ms": (statistics.median(latencies) * 1000.0
                            if latencies else 0.0, len(latencies)),
-        "latency_p90_ms": (tail * 1000.0, len(latencies)),
         "throughput_rps": (result.completed / result.seconds, result.completed),
         "tokens_per_s": (result.tokens / result.seconds, result.completed),
         "cpu_ms_per_op": (result.cpu_seconds * 1000.0 / max(1, result.completed),
@@ -209,14 +249,14 @@ def main(argv: list[str] | None = None) -> int:
 
     print("env: " + json.dumps(environment_stamp(args.seed, args.workload)))
     started = time.perf_counter()
+    before = host_sample()
     result, _ = _run_once(args.workload, args.seed, args.seconds, traced=False)
+    print("host: " + json.dumps(host_during(before, host_sample())))
     plain = end_to_end(result)
     correct = _correct(result)
     attempted, failed = result.attempted, result.failed
-    tail_note = ("" if len(result.latencies) >= 100
-                 else " (fewer than ten samples beyond p90)")
     _print_table("end to end (untraced)", [
-        (name, value, unit, f"n={samples}" + (tail_note if name == "latency_p90_ms" else ""))
+        (name, value, unit, f"n={samples}")
         for name, (value, unit, samples) in plain.items()])
     error_share = failed / attempted if attempted else 0.0
     print(f"  {'error_share':<28} {error_share:>14.4f} share  "
@@ -237,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         for error in traced_result.errors[:10]:
             print(f"  error (traced run): {error}")
         layers = layer_metrics(snapshot)
-        for name in REPORTED:
+        for name in END_TO_END:
             value, base = traced[name][0], plain[name][0]
             layers[f"overhead.{name}_pct"] = (
                 (value - base) / base * 100.0 if base else 0.0, "%")
@@ -249,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
                    for name, (value, unit) in layers.items()}
     else:
         metrics = {name: {"value": plain[name][0], "unit": plain[name][1]}
-                   for name in REPORTED}
+                   for name in END_TO_END}
     print(f"  wall {time.perf_counter() - started:.1f}s")
     print(json.dumps({"correct": correct, "attempted": attempted,
                       "failed": failed, "metrics": metrics}))

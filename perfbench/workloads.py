@@ -23,10 +23,6 @@ GREEDY = {"name": "greedy"}
 BEAM4 = {"name": "beam", "beam_size": 4}
 
 
-def sample_strategy(seed: int) -> dict:
-    return {"name": "sample", "seed": seed, "temperature": 0.8, "top_k": 20}
-
-
 def quick_experiment_config() -> ExperimentConfig:
     return ExperimentConfig(
         model=ModelConfig(d_model=64, num_heads=4, num_encoder_layers=2,
@@ -63,20 +59,6 @@ def corpus_programs(seed: int, num_repositories: int = CORPUS_REPOSITORIES) -> l
     return sorted(programs, key=lambda code: (len(code), code))
 
 
-def spread(ranked: list, seed: int) -> list:
-    """Reorder ``ranked`` (shortest first) so every prefix spans its range.
-
-    Rank ``r`` is visited in the order of ``(offset + r * golden ratio) mod 1``
-    with a seeded offset.  The ranks below any threshold of that key are
-    spread evenly over all ranks, so a run that consumes any prefix sees short
-    and long programs in the corpus's proportions whatever the seed.
-    """
-    offset = random.Random(seed).random()
-    order = sorted(range(len(ranked)),
-                   key=lambda rank: (offset + rank * 0.6180339887498949) % 1.0)
-    return [ranked[rank] for rank in order]
-
-
 # ---------------------------------------------------------------- requests
 
 
@@ -93,36 +75,6 @@ class Request:
         if self.verify:
             body["verify"] = True
         return body
-
-
-#: The strategies of one batch job's four items (None: seeded sampling).
-JOB_ITEMS = (GREEDY, None, BEAM4, GREEDY)
-
-
-def advise_mix(seed: int) -> tuple[list[Request], list[list[Request]]]:
-    """(stream requests, batch jobs) over distinct corpus programs.
-
-    A third of the programs (every third by length) feed the streams, half
-    greedy and half seeded sampling; the rest form batch jobs of four
-    programs of similar length (greedy, seeded sampling, beam-4, greedy in a
-    seeded order).  Streams and jobs are each spread over the length range,
-    so a run's prefix has the corpus's length profile.  No program repeats.
-    """
-    ranked = corpus_programs(seed)
-    rng = random.Random(seed * 7919 + 1)
-    streams = [Request(code, GREEDY if rng.random() < 0.5
-                       else sample_strategy(rng.randrange(1 << 30)))
-               for code in spread(ranked[0::3], seed)]
-    items = sorted(ranked[1::3] + ranked[2::3], key=lambda code: (len(code), code))
-    blocks = [items[i:i + len(JOB_ITEMS)]
-              for i in range(0, len(items) - len(JOB_ITEMS) + 1, len(JOB_ITEMS))]
-    jobs = []
-    for block in spread(blocks, seed + 1):
-        block = list(block)
-        rng.shuffle(block)
-        jobs.append([Request(code, strategy or sample_strategy(rng.randrange(1 << 30)))
-                     for code, strategy in zip(block, JOB_ITEMS)])
-    return streams, jobs
 
 
 # ------------------------------------------------------------- edit replay
