@@ -107,7 +107,8 @@ def _blas_threads() -> int | str:
 
 
 def host_sample() -> dict:
-    """Machine-wide CPU tick counters and load, to diff around a run."""
+    """Machine-wide CPU tick counters, load and Python speed, to diff around
+    a run."""
     try:
         fields = [int(v) for v in Path("/proc/stat").read_text().split("\n", 1)[0].split()[1:]]
         load = float(Path("/proc/loadavg").read_text().split()[0])
