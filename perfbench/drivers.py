@@ -167,10 +167,6 @@ def _record(result: RunResult, served: Served, lock: threading.Lock) -> None:
 
 def _check(ctx: Context, result: RunResult, candidates: int = 1) -> None:
     """Untimed: every answer against the sequential oracle."""
-    ctx.oracle.prefetch([
-        ctx.oracle.job_for(s.oracle_code, s.request.strategy, s.outcome.body,
-                           candidates if s.request.verify else 1)
-        for s in result.served])
     for served in result.served:
         response = served.outcome.body
         strategy = served.request.strategy

@@ -7,25 +7,17 @@ part of a run.  A served answer is exact when its ``generated_code`` equals
 the oracle's.  A verified answer that was re-ranked must equal the oracle's
 N-best candidate at the winning index.
 
-Large checks are spread over two worker processes (the servers are stopped
-by then, so they compete with nothing that is measured).
+The oracle decodes in the benchmark process itself and starts no other
+process: every workload checks a few dozen distinct programs at most, which
+takes about as long as starting worker processes would.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.model.decoding import strategy_from_dict
 from repro.mpirical import MPIRical
-
-#: Decodes below this count run in the benchmark process itself.
-POOL_THRESHOLD = 16
-POOL_WORKERS = 2
-
-_worker_model: MPIRical | None = None
 
 
 def _decode(model: MPIRical, job: tuple) -> tuple[str, int]:
@@ -39,16 +31,6 @@ def _decode(model: MPIRical, job: tuple) -> tuple[str, int]:
     return result.generated_code, len(result.generated_tokens)
 
 
-def _init_worker(checkpoint: str) -> None:
-    global _worker_model
-    _worker_model = MPIRical.load(checkpoint)
-
-
-def _decode_in_worker(job: tuple) -> tuple[str, int]:
-    assert _worker_model is not None
-    return _decode(_worker_model, job)
-
-
 class Oracle:
     def __init__(self, checkpoint: Path) -> None:
         self.checkpoint = checkpoint
@@ -60,30 +42,6 @@ class Oracle:
             candidates: int = 1) -> tuple:
         return (code, tuple(sorted(strategy.items())), winner, candidates)
 
-    def prefetch(self, jobs: list[tuple]) -> None:
-        """Decode every not yet known job, in worker processes when many."""
-        missing = list(dict.fromkeys(job for job in jobs if job not in self._memo))
-        if len(missing) < POOL_THRESHOLD:
-            for job in missing:
-                self._memo[job] = _decode(self.model, job)
-            return
-        # One BLAS thread per worker: two workers already fill two cores.
-        previous = os.environ.get("OPENBLAS_NUM_THREADS")
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        try:
-            with ProcessPoolExecutor(
-                    POOL_WORKERS, mp_context=multiprocessing.get_context("spawn"),
-                    initializer=_init_worker,
-                    initargs=(str(self.checkpoint),)) as pool:
-                for job, decoded in zip(missing, pool.map(_decode_in_worker, missing,
-                                                          chunksize=4)):
-                    self._memo[job] = decoded
-        finally:
-            if previous is None:
-                os.environ.pop("OPENBLAS_NUM_THREADS", None)
-            else:
-                os.environ["OPENBLAS_NUM_THREADS"] = previous
-
     @property
     def model(self) -> MPIRical:
         if self._model is None:
@@ -93,7 +51,7 @@ class Oracle:
     def decoded(self, job: tuple) -> tuple[str, int]:
         """(generated program, generated token count) for ``job``."""
         if job not in self._memo:
-            self.prefetch([job])
+            self._memo[job] = _decode(self.model, job)
         return self._memo[job]
 
     @staticmethod

@@ -178,12 +178,32 @@ class ServingProcess:
         proc.wait()
         if proc.stdout is not None:
             proc.stdout.close()
+        # The router's workers are reparented when the router dies; wait for
+        # them too, so no process of this tree outlives the run.
+        deadline = time.monotonic() + timeout
+        while group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
 
 
 def stop_all() -> None:
     """Stop every serving process still running (interrupted runs)."""
     for proc in list(LIVE):
         proc.stop(timeout=2.0)
+
+
+def group_members(pgid: int) -> list[int]:
+    """Processes of process group ``pgid`` that have not yet exited."""
+    members = []
+    for entry in _listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            fields = Path(f"/proc/{entry}/stat").read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry))
+    return members
 
 
 def _alive(pid: int) -> bool:

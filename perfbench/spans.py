@@ -31,6 +31,7 @@ import functools
 import importlib
 import inspect
 import json
+import os
 import statistics
 import sys
 import threading
@@ -81,7 +82,9 @@ class Tracer:
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
         self._local = threading.local()
-        self._lock = threading.Lock()
+        # Re-entrant: the SIGUSR1 (reset) and SIGTERM (dump) handlers run on
+        # the main thread, which may be holding the lock when they fire.
+        self._lock = threading.RLock()
         #: metric -> per-sample self seconds (one per unit that touched it).
         self.samples: dict[str, list[float]] = {}
         self.counts: dict[str, int] = {}
@@ -260,8 +263,12 @@ class Tracer:
             }
 
     def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
+        """Write the snapshot to ``path`` atomically: a process killed while
+        dumping leaves no half-written trace file behind."""
+        partial = path + ".partial"
+        with open(partial, "w", encoding="utf-8") as handle:
             json.dump(self.snapshot(), handle)
+        os.replace(partial, path)
 
 
 def _hook(fn: Callable, *args):

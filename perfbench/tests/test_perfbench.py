@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
@@ -18,6 +19,7 @@ sys.path.insert(0, str(HERE))
 import layers  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
+from procs import ServingProcess, group_members  # noqa: E402
 from spans import Target, Tracer, merge_snapshots  # noqa: E402
 
 
@@ -203,3 +205,28 @@ def test_host_shares_come_from_tick_deltas():
     assert host["busy_share"] == 0.7
     assert host["python_mops_after"] == 25.0
     assert run.host_during({}, after) == {}
+
+
+# ------------------------------------------------------------ process hygiene
+
+
+class _Spawner(ServingProcess):
+    """A stand-in serving CLI: it starts a child of its own (as a router
+    starts its workers), prints a listening line and sleeps."""
+
+    def command(self) -> list[str]:
+        script = ("import subprocess, sys, time\n"
+                  "subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+                  "print('listening on http://127.0.0.1:1', flush=True)\n"
+                  "time.sleep(60)\n")
+        return [sys.executable, "-c", script]
+
+
+def test_stop_waits_for_the_whole_process_tree(tmp_path):
+    proc = _Spawner("none", [], root=ROOT, run_dir=tmp_path).start()
+    deadline = time.monotonic() + 10.0
+    while len(group_members(proc.proc.pid)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert len(group_members(proc.proc.pid)) == 2
+    proc.stop()
+    assert group_members(proc.proc.pid) == []
