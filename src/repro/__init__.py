@@ -13,7 +13,7 @@ Top-level layout
 ``repro.api``           versioned advising contract (AdviseRequest/Response, ApiError)
 ``repro.mpirical``      the MPI-RICAL pipeline, assistant API and rule baseline
 ``repro.registry``      model lifecycle (versioned registry, aliases, hot-swap)
-``repro.serving``       batched inference service (micro-batching, LRU cache,
+``repro.serving``       batched inference service (continuous batching, LRU cache,
                         batch jobs, HTTP)
 ``repro.evaluation``    Table II / Table III metrics (F1, BLEU, METEOR, ROUGE-L, ACC)
 ``repro.mpisim``        simulated MPI runtime + C interpreter (program validation)

@@ -7,14 +7,14 @@ call sites.  A :class:`DecodingStrategy` packages one decoding *algorithm
 plus its parameters* as a frozen, serialisable value object that every layer
 passes through unchanged:
 
-* :meth:`DecodingStrategy.decode` / :meth:`DecodingStrategy.decode_batch`
-  run the sequential / batched implementation (both built on the existing
-  decoders and :class:`repro.model.generation.DecoderLoop`, so the KV-cache
-  fast path is inherited);
+* :meth:`DecodingStrategy.decode` runs the sequential reference decoder
+  (the differential oracle), and :meth:`DecodingStrategy.row_state` builds
+  the per-request :class:`RowDecodeState` machine that rides the shared
+  continuous batch (:class:`repro.model.generation.ContinuousDecoderLoop`)
+  — the one batched decode path;
 * :meth:`DecodingStrategy.canonical` is the **canonical serialized form** —
-  the single string that serving derives cache keys, micro-batch group keys
-  and per-config metrics labels from, so two requests share a batch exactly
-  when they share a cache entry, with no hand-maintained label functions;
+  the single string that serving derives cache keys and per-config metrics
+  labels from, with no hand-maintained label functions;
 * :meth:`DecodingStrategy.to_dict` / :func:`strategy_from_dict` are the wire
   format used by the v1 HTTP API (``{"name": "beam", "beam_size": 4, ...}``).
 
@@ -34,8 +34,8 @@ chunks just arrive late).
 sampling with an **explicit seed**.  Sampling is bitwise reproducible — the
 per-row RNG stream depends only on ``seed`` (never on batch composition), and
 token selection runs in float64 off the model's logits, so the same seed
-yields the same tokens sequentially and batched, and across the tape and
-float64 inference paths (``tests/test_sampling_determinism.py``).
+yields the same tokens sequentially and in the continuous batch, and across
+the tape and float64 inference paths (``tests/test_sampling_determinism.py``).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import math
 import numpy as np
 
 from .generation import (
-    DecoderLoop,
     GenerationConfig,
     _candidate_key,
     _decode_mode,
@@ -55,17 +54,13 @@ from .generation import (
     _ranked_top_tokens,
     _strip_eos,
     beam_search_decode,
-    beam_search_decode_batch,
     beam_search_nbest,
     greedy_decode,
-    greedy_decode_batch,
 )
 from .transformer import Seq2SeqTransformer
 
-#: Sequential streaming callback: called with each emitted token id.
+#: Streaming callback: called with each emitted token id.
 OnToken = Callable[[int], None]
-#: Batched streaming callback: called with ``(source_index, token_id)``.
-OnTokenBatch = Callable[[int, int], None]
 
 #: Largest accepted beam size; beam cost scales linearly with the hypothesis
 #: count, so an unbounded client value is a denial-of-service knob.  Lives
@@ -134,8 +129,8 @@ def _coerce_float_fields(strategy: DecodingStrategy, *names: str) -> None:
 
     JSON clients spell ``1.0`` as ``1`` freely; without coercion the int and
     float spellings of the same value would ``repr`` differently and get
-    distinct canonical forms — distinct cache entries and micro-batch groups
-    for identical decodes.  Non-numeric junk is left untouched for
+    distinct canonical forms — distinct cache entries and metric buckets for
+    identical decodes.  Non-numeric junk is left untouched for
     :meth:`validate` to reject with a proper type error.
     """
     for name in names:
@@ -151,7 +146,10 @@ class DecodingStrategy:
     Subclasses are frozen dataclasses whose fields are exactly the wire
     parameters; the base class derives serialisation, the canonical string
     and strict construction from the dataclass machinery, so a new strategy
-    only implements :meth:`validate`, :meth:`decode` and :meth:`decode_batch`.
+    implements :meth:`validate` plus exactly two decode methods:
+    :meth:`decode`, the sequential reference that tests and the offline
+    pipeline call, and :meth:`row_state`, the per-request state machine
+    every served decode runs through.
     """
 
     #: Registry key and wire name; set by each subclass.
@@ -167,10 +165,10 @@ class DecodingStrategy:
         return {"name": self.name, **self.params()}
 
     def canonical(self) -> str:
-        """The canonical serialized form (cache keys, batch groups, metrics).
+        """The canonical serialized form (cache keys, metrics labels).
 
-        Two strategies share micro-batches, cache entries and metric buckets
-        exactly when their canonical strings are equal, so every
+        Two strategies share cache entries and metric buckets exactly when
+        their canonical strings are equal, so every
         output-changing parameter must appear here at full precision
         (``repr``, not a rounded format).
         """
@@ -196,11 +194,11 @@ class DecodingStrategy:
         """Raise :class:`StrategyParamError` on any out-of-range parameter."""
 
     def normalised(self) -> "DecodingStrategy":
-        """The strategy whose canonical form keys caches and batches.
+        """The strategy whose canonical form keys caches and metrics.
 
         Parameter combinations that cannot change the output collapse to one
         representative (e.g. ``beam_size=1`` is greedy regardless of length
-        penalty), so equivalent requests share cache entries and batches.
+        penalty), so equivalent requests share cache entries.
         """
         return self
 
@@ -209,21 +207,16 @@ class DecodingStrategy:
                on_token: OnToken | None = None) -> list[int]:
         raise NotImplementedError
 
-    def decode_batch(self, model: Seq2SeqTransformer,
-                     source_ids_batch: list[list[int]], *, sos_id: int,
-                     eos_id: int, pad_id: int, max_length: int = 400,
-                     on_token: OnTokenBatch | None = None) -> list[list[int]]:
-        raise NotImplementedError
-
     def row_state(self, *, sos_id: int, eos_id: int, max_length: int = 400,
                   on_token: OnToken | None = None) -> "RowDecodeState":
         """The per-request state machine for continuous batching.
 
         Returns a fresh :class:`RowDecodeState` that drives this strategy's
         rows inside a shared iteration-level batch
-        (:class:`repro.serving.sched.InflightBatch`).  Strategies that cannot
-        guarantee batch-invariant outputs raise ``NotImplementedError`` — the
-        scheduler then routes such requests to the static micro-batcher.
+        (:class:`repro.serving.sched.InflightBatch`).  This is the only
+        batched decode path, so a strategy without a row state cannot be
+        served: the default raises ``NotImplementedError`` and the scheduler
+        fails that request's own future with it.
         """
         raise NotImplementedError(
             f"strategy {self.name!r} does not support continuous batching")
@@ -350,7 +343,7 @@ class RowDecodeState:
     (:class:`repro.model.generation.ContinuousDecoderLoop`); each request
     contributes :attr:`rows` rows plus a state machine that consumes its
     block of logits every iteration and yields the tokens to feed next.
-    Implementations replicate the corresponding *batched* decoder's math
+    Implementations replicate the corresponding sequential decoder's math
     operation for operation (same argsort kinds, same float accumulation,
     same tie-breaking), so a request's output is bitwise identical to its
     sequential decode regardless of what joins or retires around it.
@@ -416,7 +409,7 @@ class SampleRowState(RowDecodeState):
     """Replicates :func:`sample_decode`: a private ``default_rng(seed)``
     stream with exactly one draw per emitted position — batch composition
     can never perturb the stream, which is the sampling batch-invariance
-    property the static batched sampler already relies on."""
+    property."""
 
     def __init__(self, *, temperature: float, top_k: int, top_p: float,
                  seed: int, **kwargs) -> None:
@@ -448,12 +441,12 @@ class SampleRowState(RowDecodeState):
 
 
 class BeamRowState(RowDecodeState):
-    """Replicates one source block of :func:`beam_search_decode_batch`
-    bit-for-bit: same candidate enumeration order, same
+    """Replicates :func:`repro.model.generation.beam_search_decode` on a
+    ``beam_size``-row block: same candidate enumeration order, same
     :func:`_candidate_key` total order, same Python-float score
-    accumulation — which the differential harness proves equal to the
-    sequential beam search.  Block slot == sequential beam rank, so slot 0
-    is always the best hypothesis."""
+    accumulation — which the differential harness proves bitwise equal to
+    the sequential beam search.  Block slot == sequential beam rank, so
+    slot 0 is always the best hypothesis."""
 
     def __init__(self, *, beam_size: int, length_penalty: float,
                  **kwargs) -> None:
@@ -517,7 +510,7 @@ class BeamRowState(RowDecodeState):
         ids = _strip_eos(self.ids[0], self.eos_id)
         if self.on_token is not None:
             # The winning hypothesis is only known once search finishes —
-            # replay it, exactly like the static BeamStrategy streaming.
+            # replay it, exactly like BeamStrategy.decode streaming.
             for token in ids:
                 self.on_token(token)
         return ids
@@ -543,12 +536,6 @@ class GreedyStrategy(DecodingStrategy):
         return greedy_decode(model, source_ids, sos_id=sos_id, eos_id=eos_id,
                              pad_id=pad_id, max_length=max_length,
                              on_token=on_token)
-
-    def decode_batch(self, model, source_ids_batch, *, sos_id, eos_id, pad_id,
-                     max_length=400, on_token=None):
-        return greedy_decode_batch(model, source_ids_batch, sos_id=sos_id,
-                                   eos_id=eos_id, pad_id=pad_id,
-                                   max_length=max_length, on_token=on_token)
 
     def row_state(self, *, sos_id, eos_id, max_length=400, on_token=None):
         return GreedyRowState(sos_id=sos_id, eos_id=eos_id,
@@ -581,7 +568,7 @@ class BeamStrategy(DecodingStrategy):
     def normalised(self) -> DecodingStrategy:
         # beam_size=1 *is* greedy (beam_search_decode delegates), and greedy
         # ignores the length penalty — collapse so such requests share the
-        # greedy cache entries and batches, as they always have.
+        # greedy cache entries, as they always have.
         return GreedyStrategy() if self.beam_size <= 1 else self
 
     def decode(self, model, source_ids, *, sos_id, eos_id, pad_id,
@@ -595,18 +582,6 @@ class BeamStrategy(DecodingStrategy):
             for token in ids:
                 on_token(token)
         return ids
-
-    def decode_batch(self, model, source_ids_batch, *, sos_id, eos_id, pad_id,
-                     max_length=400, on_token=None):
-        outputs = beam_search_decode_batch(
-            model, source_ids_batch, sos_id=sos_id, eos_id=eos_id,
-            pad_id=pad_id, beam_size=self.beam_size, max_length=max_length,
-            length_penalty=self.length_penalty)
-        if on_token is not None:
-            for index, ids in enumerate(outputs):
-                for token in ids:
-                    on_token(index, token)
-        return outputs
 
     def row_state(self, *, sos_id, eos_id, max_length=400, on_token=None):
         if self.beam_size <= 1:
@@ -639,7 +614,7 @@ def _scaled_logits(logits: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature-scaled float64 logits (1-D row or 2-D batch of rows).
 
     Elementwise, so scaling a whole batch is bitwise identical per row to
-    scaling each row alone — the property the batched sampler leans on.
+    scaling each row alone.
     """
     z = np.asarray(logits, dtype=np.float64)
     return z / temperature if temperature != 1.0 else z
@@ -676,7 +651,7 @@ def _sample_token(logits: np.ndarray, *, temperature: float, top_k: int,
     logits), ties rank by ascending token id (a stable sort on the negated
     logits), and the draw consumes exactly one ``rng.random()`` — so equal
     logit bit patterns plus an equal RNG state always produce the same token,
-    which is what makes sequential and batched sampling exact-match equal.
+    which is what makes sequential and continuous sampling exact-match equal.
 
     ``eos_id`` is unused by the math but kept in the signature so callers
     can't accidentally drop it from the per-step contract.
@@ -721,56 +696,6 @@ def sample_decode(model: Seq2SeqTransformer, source_ids: list[int], *,
         return generated
 
 
-def sample_decode_batch(model: Seq2SeqTransformer,
-                        source_ids_batch: list[list[int]], *, sos_id: int,
-                        eos_id: int, pad_id: int, max_length: int = 400,
-                        temperature: float = 1.0, top_k: int = 0,
-                        top_p: float = 1.0, seed: int = 0,
-                        on_token: OnTokenBatch | None = None) -> list[list[int]]:
-    """Batched seeded sampling — exact-match equal to per-source sampling.
-
-    Every row owns an independent ``default_rng(seed)`` stream (exactly what
-    the sequential decoder would use for that source) and draws only while
-    unfinished, so batch composition can never perturb a row's tokens; the
-    logits themselves match the sequential run because the encoder's padding
-    mask makes padded rows decode identically (the property the greedy/beam
-    differential harnesses already pin down).
-    """
-    if not source_ids_batch:
-        return []
-    outputs: list[list[int]] = [[] for _ in source_ids_batch]
-    loop = DecoderLoop(model, source_ids_batch, pad_id=pad_id)
-    if not loop.num_rows:
-        return outputs
-    rngs = [np.random.default_rng(seed) for _ in range(loop.num_rows)]
-
-    current = np.full((loop.num_rows, 1), sos_id, dtype=np.int64)
-    for _ in range(max_length):
-        logits = loop.step(current)
-        # One vectorised scale + row-wise stable argsort for the whole batch;
-        # elementwise scaling and per-row sorting are bitwise identical to
-        # the sequential decoder's per-row versions, so tokens can't drift.
-        z = _scaled_logits(logits, temperature)
-        orders = np.argsort(-z, axis=-1, kind="stable")
-        current = np.full((loop.num_rows, 1), eos_id, dtype=np.int64)
-        for row in range(loop.num_rows):
-            if loop.finished[row]:
-                continue
-            token = _sample_from_order(z[row], orders[row], top_k=top_k,
-                                       top_p=top_p, rng=rngs[row])
-            if token == eos_id:
-                loop.finished[row] = True
-            else:
-                source = loop.live_indices[row]
-                outputs[source].append(token)
-                if on_token is not None:
-                    on_token(source, token)
-                current[row, 0] = token
-        if loop.finished.all():
-            break
-    return outputs
-
-
 @register_strategy
 @dataclass(frozen=True)
 class SampleStrategy(DecodingStrategy):
@@ -810,13 +735,6 @@ class SampleStrategy(DecodingStrategy):
         return sample_decode(model, source_ids, sos_id=sos_id, eos_id=eos_id,
                              pad_id=pad_id, max_length=max_length,
                              on_token=on_token, **self._kwargs())
-
-    def decode_batch(self, model, source_ids_batch, *, sos_id, eos_id, pad_id,
-                     max_length=400, on_token=None):
-        return sample_decode_batch(model, source_ids_batch, sos_id=sos_id,
-                                   eos_id=eos_id, pad_id=pad_id,
-                                   max_length=max_length, on_token=on_token,
-                                   **self._kwargs())
 
     def row_state(self, *, sos_id, eos_id, max_length=400, on_token=None):
         return SampleRowState(temperature=self.temperature, top_k=self.top_k,

@@ -1,22 +1,23 @@
 """Sequence generation: greedy and beam decoding with KV caching.
 
-Two families of entry points live here:
+Two kinds of decoder live here:
 
 * the **sequential reference decoders** (:func:`greedy_decode`,
-  :func:`beam_search_decode`) — simple, per-source implementations that act
-  as the executable specification; and
-* the **batched decoders** (:func:`greedy_decode_batch`,
-  :func:`beam_search_decode_batch`) — the serving layer's hot paths, built
-  on the shared :class:`DecoderLoop`, and exact-match identical to running
-  the corresponding sequential decoder per source
+  :func:`beam_search_decode`, :func:`beam_search_nbest`) — simple,
+  per-source implementations that act as the executable specification and
+  the differential oracle; and
+* the **continuous decode core** (:class:`ContinuousDecoderLoop`) — the one
+  batched engine.  :mod:`repro.serving.sched` drives it with one
+  :class:`repro.model.decoding.RowDecodeState` per request, and every
+  request's tokens are exact-match identical to its sequential decode
   (``tests/test_decoding_differential.py`` is the differential harness).
 
-Candidate ordering in beam search is explicit and shared by both paths
+Candidate ordering in beam search is explicit and shared by both
 (:func:`_candidate_key`): descending normalised score, then ascending
 last-emitted token id, then ascending parent-beam rank.  Nothing depends on
-Python sort stability or hypothesis insertion order, which is what lets the
-flattened ``(batch × beam)`` implementation match the per-source one
-bit-for-bit even on exactly tied scores.
+Python sort stability or hypothesis insertion order, which is what lets a
+beam request's row block in the continuous batch match the per-source
+search bit-for-bit even on exactly tied scores.
 
 Every decoder here runs on the **inference fast path** by default: the model
 calls execute under :func:`repro.model.autograd.inference_mode` (no autograd
@@ -114,12 +115,13 @@ def beam_search_decode(model: Seq2SeqTransformer, source_ids: list[int], *, sos_
 
     Each hypothesis needs its own KV cache, so this path runs one
     :meth:`Seq2SeqTransformer.decode_step` per live hypothesis per step; it
-    is the slow reference that :func:`beam_search_decode_batch` is measured
-    (and differentially tested) against.
+    is the slow reference that the continuous batch's beam rows
+    (:class:`repro.model.decoding.BeamRowState`) are measured (and
+    differentially tested) against.
 
     Candidate ordering is fully deterministic — see :func:`_candidate_key` —
     so equal-scoring hypotheses resolve identically run-to-run and across
-    the sequential/batched implementations.
+    the sequential/continuous implementations.
     """
     if beam_size <= 1:
         return greedy_decode(model, source_ids, sos_id=sos_id, eos_id=eos_id,
@@ -219,7 +221,7 @@ def _strip_eos(ids: list[int], eos_id: int) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# Shared ordering / numerics (both the sequential and batched beam paths)
+# Shared ordering / numerics (the sequential and continuous beam paths)
 # --------------------------------------------------------------------------
 
 
@@ -257,88 +259,6 @@ def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# DecoderLoop — the shared batched-decoding machinery
-# --------------------------------------------------------------------------
-
-
-class DecoderLoop:
-    """Owns the batched incremental-decoding state for a set of sources.
-
-    Responsibilities (everything the batched decoders would otherwise each
-    reimplement):
-
-    * **padding** — live (non-empty) sources are right-padded with ``pad_id``
-      to a common width and encoded in one pass; empty sources are excluded
-      up front (they generate nothing) and tracked via :attr:`live_indices`;
-    * **row layout** — with ``rows_per_source > 1`` every source occupies a
-      contiguous block of rows (the flattened ``(source × beam)`` hypothesis
-      matrix used by batched beam search), sharing one encoder pass;
-    * **per-row EOS/finished tracking** — :attr:`finished` is the canonical
-      per-row flag; finished rows keep stepping on a dummy EOS input (rows of
-      a batched step are computed independently, so the dummy never leaks);
-    * **KV-cache state** — one shared :class:`DecodingState` whose per-layer
-      caches hold one row per hypothesis; :meth:`reorder_rows` re-gathers
-      them after beam pruning.
-    """
-
-    def __init__(self, model: Seq2SeqTransformer, source_ids_batch: list[list[int]],
-                 *, pad_id: int, rows_per_source: int = 1) -> None:
-        if rows_per_source < 1:
-            raise ValueError(f"rows_per_source must be >= 1, got {rows_per_source}")
-        self.model = model
-        self.pad_id = pad_id
-        self.rows_per_source = rows_per_source
-        self.live_indices = [i for i, ids in enumerate(source_ids_batch) if ids]
-        self.num_sources = len(self.live_indices)
-        self.num_rows = self.num_sources * rows_per_source
-        self.finished = np.zeros(self.num_rows, dtype=bool)
-        if not self.num_sources:
-            self.src = np.empty((0, 0), dtype=np.int64)
-            self.memory = None
-            self.state = None
-            return
-
-        live_sources = [source_ids_batch[i] for i in self.live_indices]
-        width = max(len(ids) for ids in live_sources)
-        src = np.full((self.num_sources, width), pad_id, dtype=np.int64)
-        for row, ids in enumerate(live_sources):
-            src[row, : len(ids)] = ids
-        with _decode_mode():
-            memory = model.encode(src, pad_id, training=False)
-            if rows_per_source > 1:
-                # One encoder pass per source; hypothesis rows share its memory.
-                src = np.repeat(src, rows_per_source, axis=0)
-                memory = Tensor(np.repeat(memory.data, rows_per_source, axis=0))
-        self.src = src
-        self.memory = memory
-        self.state = model.start_decoding()
-
-    def step(self, token_ids: np.ndarray) -> np.ndarray:
-        """One incremental decoder step for every row; returns (rows, vocab)."""
-        with _decode_mode():
-            return self.model.decode_step(token_ids, self.memory, self.src,
-                                          self.pad_id, self.state)
-
-    def reorder_rows(self, parents: np.ndarray) -> None:
-        """Re-gather the self-attention caches so row ``r`` continues ``parents[r]``.
-
-        ``parents`` must stay inside each source's row block — a hypothesis
-        can only descend from a hypothesis of the same source.  Cross-attention
-        caches are *not* gathered: within a block every row is a projection of
-        the same repeated memory row, so the gather would be an identity.
-
-        The gather happens in place inside each cache's preallocated buffers
-        (:meth:`repro.model.attention.KVCache.reorder_rows`) — beam pruning
-        does not reallocate or shrink the cache capacity.
-        """
-        blocks = np.arange(self.num_rows) // self.rows_per_source
-        if (np.asarray(parents) // self.rows_per_source != blocks).any():
-            raise ValueError("beam reorder must stay within each source's rows")
-        for cache in self.state.self_caches:
-            cache.reorder_rows(parents)
-
-
-# --------------------------------------------------------------------------
 # ContinuousDecoderLoop — the step-resumable core for continuous batching
 # --------------------------------------------------------------------------
 
@@ -346,10 +266,8 @@ class DecoderLoop:
 class ContinuousDecoderLoop:
     """Step-resumable decode core whose row set changes *between* steps.
 
-    Where :class:`DecoderLoop` fixes its batch at construction and decodes to
-    completion, this loop owns a live row matrix that requests join and leave
-    mid-decode (Orca-style continuous batching, driven by
-    :mod:`repro.serving.sched`):
+    The loop owns a live row matrix that requests join and leave mid-decode
+    (Orca-style continuous batching, driven by :mod:`repro.serving.sched`):
 
     * :meth:`join` encodes one source **alone at its own width** — bitwise
       the memory its sequential decode would see — inserts its rows into
@@ -363,7 +281,7 @@ class ContinuousDecoderLoop:
     * :meth:`retire` compacts a finished request's row block out.
 
     Exactness: rows of a batched decode step are computed independently (the
-    property every batched ≡ sequential differential in this repo pins
+    property every continuous ≡ sequential differential in this repo pins
     down); per-row cache lengths keep each joiner's garbage *trailing*
     behind the ragged mask; and the positional term is a per-row gather of
     the very table rows the sequential decode reads — so a request's tokens
@@ -433,7 +351,8 @@ class ContinuousDecoderLoop:
         Callers must keep ``parents`` inside each request's row block (the
         scheduler validates).  Cross-attention caches are not gathered: a
         block's rows all project the same memory, so the gather would be an
-        identity — the same reasoning as :meth:`DecoderLoop.reorder_rows`.
+        identity.  The gather happens in place inside each cache's
+        preallocated buffers (:meth:`repro.model.attention.KVCache.reorder_rows`).
         """
         parents = np.asarray(parents)
         for cache in self.state.self_caches:
@@ -505,147 +424,3 @@ class ContinuousDecoderLoop:
         else:
             self.state.memory_mask = None
             self.state.memory_mask_source = None
-
-
-# --------------------------------------------------------------------------
-# Batched decoders
-# --------------------------------------------------------------------------
-
-
-def greedy_decode_batch(model: Seq2SeqTransformer, source_ids_batch: list[list[int]],
-                        *, sos_id: int, eos_id: int, pad_id: int,
-                        max_length: int = 400, on_token=None) -> list[list[int]]:
-    """Greedy decoding for a batch of (possibly ragged) source sequences.
-
-    One encoder pass and one :meth:`Seq2SeqTransformer.decode_step` per step
-    for the whole batch, via :class:`DecoderLoop`.  The output is exact-match
-    identical to calling :func:`greedy_decode` on each source individually:
-    the encoder's padding mask zeroes attention to pad positions, so a padded
-    row produces the same memory — and therefore the same argmax path — as
-    its unpadded encoding.  Empty sources generate ``[]``, matching the
-    single-sequence contract.  ``on_token`` (if given) is called with
-    ``(source_index, token_id)`` as each row emits a token.
-    """
-    if not source_ids_batch:
-        return []
-    outputs: list[list[int]] = [[] for _ in source_ids_batch]
-    loop = DecoderLoop(model, source_ids_batch, pad_id=pad_id)
-    if not loop.num_rows:
-        return outputs
-
-    current = np.full((loop.num_rows, 1), sos_id, dtype=np.int64)
-    for _ in range(max_length):
-        logits = loop.step(current)
-        next_ids = np.argmax(logits, axis=-1)
-        for row, token in enumerate(next_ids):
-            token = int(token)
-            if loop.finished[row]:
-                continue
-            if token == eos_id:
-                loop.finished[row] = True
-            else:
-                outputs[loop.live_indices[row]].append(token)
-                if on_token is not None:
-                    on_token(loop.live_indices[row], token)
-        if loop.finished.all():
-            break
-        current = np.where(loop.finished[:, None], eos_id,
-                           next_ids[:, None]).astype(np.int64)
-    return outputs
-
-
-def beam_search_decode_batch(model: Seq2SeqTransformer,
-                             source_ids_batch: list[list[int]], *, sos_id: int,
-                             eos_id: int, pad_id: int, beam_size: int = 3,
-                             max_length: int = 400,
-                             length_penalty: float = 0.6) -> list[list[int]]:
-    """Batched beam search: one ``decode_step`` per step for every hypothesis.
-
-    All sources are encoded in one pass and the per-source hypothesis sets
-    are flattened into a ``(num_sources × beam_size)`` row matrix, so each
-    generation step costs a single batched :meth:`decode_step` instead of one
-    per live hypothesis.  Per-source pruning, length-penalty scoring and
-    tie-breaking replicate :func:`beam_search_decode` exactly (same candidate
-    enumeration order, same :func:`_candidate_key` total order, same float
-    arithmetic), so the output is exact-match identical to running the
-    sequential decoder on each source.
-
-    ``beam_size <= 1`` delegates to :func:`greedy_decode_batch`, mirroring
-    the sequential decoder's contract.
-    """
-    if beam_size <= 1:
-        return greedy_decode_batch(model, source_ids_batch, sos_id=sos_id,
-                                   eos_id=eos_id, pad_id=pad_id,
-                                   max_length=max_length)
-    if not source_ids_batch:
-        return []
-    outputs: list[list[int]] = [[] for _ in source_ids_batch]
-    loop = DecoderLoop(model, source_ids_batch, pad_id=pad_id,
-                       rows_per_source=beam_size)
-    if not loop.num_rows:
-        return outputs
-
-    num_rows = loop.num_rows
-    # Per-row hypothesis bookkeeping.  Rows of a source block are kept in
-    # candidate order, so block slot == the sequential implementation's beam
-    # rank and row 0 of each block is that source's best hypothesis.  Scores
-    # accumulate as Python floats exactly like the sequential path.
-    ids: list[list[int]] = [[] for _ in range(num_rows)]
-    scores: list[float] = [0.0] * num_rows
-    finished: list[bool] = [False] * num_rows
-    # Only slot 0 of each block holds a real hypothesis at step 0 (the
-    # sequential path starts from a single empty beam); the other rows are
-    # placeholders until the first pruning pass fills them.
-    valid: list[bool] = [slot == 0 for slot in
-                         (row % beam_size for row in range(num_rows))]
-
-    current = np.full((num_rows, 1), sos_id, dtype=np.int64)
-    for _ in range(max_length):
-        logits = loop.step(current)
-        log_probs = _log_softmax_rows(logits)
-        parents = np.arange(num_rows, dtype=np.int64)
-        next_ids = list(ids)
-        next_scores = list(scores)
-        next_finished = list(finished)
-        next_valid = list(valid)
-        current = np.full((num_rows, 1), eos_id, dtype=np.int64)
-        for source in range(loop.num_sources):
-            base = source * beam_size
-            candidates: list[tuple[tuple, list[int], float, bool, int]] = []
-            for rank in range(beam_size):
-                row = base + rank
-                if not valid[row]:
-                    continue
-                if finished[row]:
-                    key = _candidate_key(scores[row], ids[row], length_penalty,
-                                         ids[row][-1], rank)
-                    candidates.append((key, ids[row], scores[row], True, row))
-                    continue
-                row_log_probs = log_probs[row]
-                for token in _ranked_top_tokens(row_log_probs, beam_size):
-                    cand_ids = ids[row] + [token]
-                    score = scores[row] + float(row_log_probs[token])
-                    key = _candidate_key(score, cand_ids, length_penalty,
-                                         token, rank)
-                    candidates.append((key, cand_ids, score,
-                                       token == eos_id, row))
-            candidates.sort(key=lambda c: c[0])
-            for slot, (_, cand_ids, score, done, parent_row) in \
-                    enumerate(candidates[:beam_size]):
-                row = base + slot
-                next_ids[row] = cand_ids
-                next_scores[row] = score
-                next_finished[row] = done
-                next_valid[row] = True
-                parents[row] = parent_row
-                if not done:
-                    current[row, 0] = cand_ids[-1]
-        loop.reorder_rows(parents)
-        ids, scores, finished, valid = next_ids, next_scores, next_finished, next_valid
-        if all(done for done, live in zip(finished, valid) if live):
-            break
-
-    for source in range(loop.num_sources):
-        best = ids[source * beam_size]
-        outputs[loop.live_indices[source]] = _strip_eos(best, eos_id)
-    return outputs

@@ -102,32 +102,14 @@ class MPIAssistant:
         result = self.mpirical.predict_code(source_code, xsbt, strategy=strategy)
         return build_advice_session(diagnostics, result)
 
-    def advise_batch(self, sources: list[str], *, generation=None,
-                     strategy=None) -> list[AdviceSession]:
-        """Batched :meth:`advise` — one session per input buffer.
-
-        All buffers go through :meth:`MPIRical.predict_code_batch`, so the
-        model runs one batched decode instead of ``len(sources)`` sequential
-        ones — for every registered strategy (greedy, beam, seeded sampling).
-        Sessions are exact-match identical to per-buffer :meth:`advise`; this
-        is the entry point the serving layer's micro-batcher flushes into.
-        """
-        parsed = [parse_source_with_diagnostics(source) for source in sources]
-        xsbts = [xsbt_string(unit) for unit, _ in parsed]
-        results = self.mpirical.predict_code_batch(sources, xsbts,
-                                                   generation=generation,
-                                                   strategy=strategy)
-        return [build_advice_session(diagnostics, result)
-                for (_, diagnostics), result in zip(parsed, results)]
-
     def advise_request(self, request) -> "object":
         """Serve one :class:`repro.api.AdviseRequest` without a serving stack.
 
         The direct, cache-free implementation of the v1 contract: validates
         the request, decodes under its strategy and returns an
         :class:`repro.api.AdviseResponse` (``cached=False``, no cache key).
-        :class:`repro.serving.InferenceService` layers batching, caching and
-        multi-model routing over the very same contract.
+        :class:`repro.serving.InferenceService` layers continuous batching,
+        caching and multi-model routing over the very same contract.
 
         A standalone assistant fronts exactly one model: a request pinning
         ``model`` is accepted only when it matches this assistant's own

@@ -189,37 +189,6 @@ class MPIRical:
             pad_id=vocab.pad_id, max_length=max_length, on_token=on_token)
         return vocab.decode(generated_ids)
 
-    def predict_tokens_batch(self, sources: list[str],
-                             xsbts: list[str | None] | None = None, *,
-                             generation: GenerationConfig | None = None,
-                             strategy: DecodingStrategy | None = None,
-                             source_tokens: list[list[str] | None] | None = None,
-                             ) -> list[list[str]]:
-        """Batched :meth:`predict_tokens` for a list of programs.
-
-        All sources are decoded together (one encoder pass and one decoder
-        step per generated position for the whole batch) through the
-        strategy's :meth:`DecodingStrategy.decode_batch` — the serving
-        layer's hot path.  Output is exact-match identical to per-example
-        :meth:`predict_tokens` for every registered strategy (sampling
-        included: per-row seeded RNG streams are batch-invariant).
-        ``source_tokens`` optionally carries pre-lexed token streams (the
-        serving layer lexes each buffer once).
-        """
-        strategy, max_length = self._resolve_decode(generation, strategy)
-        xsbts = xsbts if xsbts is not None else [None] * len(sources)
-        if len(xsbts) != len(sources):
-            raise ValueError(f"{len(sources)} sources but {len(xsbts)} xsbts")
-        if source_tokens is None:
-            source_tokens = [None] * len(sources)
-        source_ids = [self._encode_for_inference(source, xsbt, tokens)
-                      for source, xsbt, tokens in zip(sources, xsbts, source_tokens)]
-        vocab = self.encoder.vocab
-        generated = strategy.decode_batch(
-            self.model, source_ids, sos_id=vocab.sos_id, eos_id=vocab.eos_id,
-            pad_id=vocab.pad_id, max_length=max_length)
-        return [vocab.decode(ids) for ids in generated]
-
     @staticmethod
     def _package_prediction(source_code: str, tokens: list[str]) -> PredictionResult:
         from ..clang.codegen import standardize
@@ -296,19 +265,6 @@ class MPIRical:
         if not results:
             results.append(self._package_prediction(source_code, []))
         return results
-
-    def predict_code_batch(self, sources: list[str],
-                           xsbts: list[str | None] | None = None, *,
-                           generation: GenerationConfig | None = None,
-                           strategy: DecodingStrategy | None = None,
-                           source_tokens: list[list[str] | None] | None = None,
-                           ) -> list[PredictionResult]:
-        """Batched :meth:`predict_code`; one result per input program."""
-        token_batches = self.predict_tokens_batch(sources, xsbts, generation=generation,
-                                                  strategy=strategy,
-                                                  source_tokens=source_tokens)
-        return [self._package_prediction(source, tokens)
-                for source, tokens in zip(sources, token_batches)]
 
     def predict_example(self, example: TranslationExample) -> ExamplePrediction:
         """Generate and package a prediction for a dataset example."""

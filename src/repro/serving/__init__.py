@@ -3,8 +3,7 @@
 The seed pipeline answers one ``predict_code()`` call at a time; this package
 turns it into a concurrent service:
 
-``repro.serving.batching``  dynamic micro-batching scheduler + worker pool
-``repro.serving.sched``     continuous batching (the default decode path):
+``repro.serving.sched``     continuous batching (the one decode path):
                             an iteration-level scheduler where requests
                             join/retire the in-flight batch between decode
                             steps, with per-row strategy state and
@@ -45,13 +44,12 @@ Quick start
 -----------
 >>> from repro.api import AdviseRequest
 >>> from repro.serving import InferenceService
->>> service = InferenceService(mpirical, max_batch_size=8, max_wait_ms=5)
+>>> service = InferenceService(mpirical, max_batch_size=8)
 >>> served = service.advise(source_code)      # blocking; batched under load
 >>> response = service.advise_request(AdviseRequest(code=source_code))
 >>> service.metrics()["cache_hit_rate"]
 """
 
-from .batching import MicroBatcher
 from .cache import CacheStats, LRUCache, canonical_cache_key
 from .joblog import JobLog
 from .jobs import Job, JobPolicy, JobStore, validate_client_id
@@ -73,7 +71,6 @@ from .service import InferenceService, ServedAdvice, generation_label
 # `from repro.serving.router import Router, make_router`.
 
 __all__ = [
-    "MicroBatcher",
     "ContinuousScheduler",
     "InflightBatch",
     "QueueFullError",

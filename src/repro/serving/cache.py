@@ -119,7 +119,7 @@ class LRUCache:
     """A bounded mapping with least-recently-used eviction.
 
     All operations take the internal lock, so the cache can be shared freely
-    between the request threads and the micro-batch workers.  Values are
+    between the request threads and the scheduler thread.  Values are
     returned as-is (no copying): cached serving results are treated as
     immutable by convention.
     """

@@ -614,11 +614,12 @@ class JobStore:
     def _run_job(self, job: Job) -> None:
         """Fan the job's items into the service and wait for all of them.
 
-        Items are submitted asynchronously up front so the micro-batcher can
-        coalesce them into model batches; each finishes into its own
-        envelope.  A request that fails validation or model resolution *at
-        run time* (e.g. its pinned revision was swapped away after submit)
-        becomes an error envelope, not a job failure.  Already-resolved
+        Items are submitted asynchronously up front so they join the
+        continuous batch together; each finishes into its own envelope.  A
+        request that fails validation or model resolution *at run time*
+        (e.g. its pinned revision was swapped away after submit), or meets
+        a full decode admission queue (429 ``queue_full``), becomes an
+        error envelope, not a job failure.  Already-resolved
         items (a resumed job's restored results) are skipped; items whose
         attempt count crossed the poison limit are parked as
         ``dead_letter``; every other item waits at most

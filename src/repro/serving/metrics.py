@@ -1,10 +1,11 @@
 """Request-level serving metrics: counters, batch-size histogram, latency quantiles.
 
 Every number here answers a capacity question the ROADMAP's
-"heavy traffic" north star raises: *is the micro-batcher actually batching*
-(batch-size histogram), *is the cache earning its memory* (hit counters feed
-:meth:`ServingMetrics.snapshot` alongside the cache's own stats), and *what
-latency are callers seeing* (p50/p95 over a bounded window).
+"heavy traffic" north star raises: *is the continuous scheduler actually
+batching* (batch-size histogram, per-step occupancy), *is the cache earning
+its memory* (hit counters feed :meth:`ServingMetrics.snapshot` alongside
+the cache's own stats), and *what latency are callers seeing* (p50/p95 over
+a bounded window).
 
 Latencies are kept in a fixed-size ring buffer, so the memory footprint is
 constant no matter how long the server runs; quantiles are therefore over the
@@ -35,14 +36,15 @@ class ServingMetrics:
             raise ValueError(f"window must be >= 1, got {window}")
         self._lock = threading.Lock()
         self._latencies_ms: deque[float] = deque(maxlen=window)
-        #: Model-side decode latency per request (the wall time of the batched
-        #: decode the request rode in) — isolates decoder speed from queueing,
+        #: Model-side decode latency per request (join → retire in the
+        #: continuous batch) — isolates decoder speed from queueing,
         #: cache lookups and anchoring, so fast-path wins are observable at
         #: ``/metrics`` even when end-to-end latency is queue-dominated.
         self._decode_ms: deque[float] = deque(maxlen=window)
         self._batch_sizes: Counter[int] = Counter()
         #: Per generation-config batch-size histograms, keyed by the config
-        #: label the batcher grouped on (e.g. ``"greedy"``, ``"beam4:lp0.6"``).
+        #: label of each same-config join group (e.g. ``"greedy"``,
+        #: ``"beam4:lp0.6"``).
         self._batch_sizes_by_config: dict[str, Counter[int]] = {}
         #: Per-model request counters keyed on ``name@revision`` — the
         #: registry-era view of where traffic lands, bounded by the same
@@ -63,8 +65,8 @@ class ServingMetrics:
         #: Continuous-batching scheduler gauges: per-iteration batch
         #: occupancy (rows live during the step) and per-request admission
         #: wait (submit → join).  Occupancy says whether iteration-level
-        #: scheduling is actually filling the batch; queue wait is the
-        #: continuous analogue of the micro-batcher's ``max_wait_ms`` bound.
+        #: scheduling is actually filling the batch; queue wait is what a
+        #: request pays before its first decode step.
         self._sched_occupancy: deque[int] = deque(maxlen=window)
         self._sched_wait_ms: deque[float] = deque(maxlen=window)
         self.requests_total = 0
@@ -113,9 +115,9 @@ class ServingMetrics:
     MAX_CONFIG_LABELS = 32
 
     def record_batch(self, size: int, group: object = None) -> None:
-        """Record one model-side batch flush of ``size`` requests.
+        """Record one batch of ``size`` requests joining the decode together.
 
-        ``group`` is the batcher's generation-config label for the flush;
+        ``group`` is the strategy's canonical label for the join group;
         ``None`` keeps only the aggregate histogram (pre-beam behaviour).
         Once :attr:`MAX_CONFIG_LABELS` distinct labels exist, further labels
         are lumped under ``"other"``.
@@ -130,16 +132,10 @@ class ServingMetrics:
                     label = "other"
                 self._batch_sizes_by_config.setdefault(label, Counter())[size] += 1
 
-    def record_decode(self, latency_ms: float, *, requests: int = 1) -> None:
-        """Record the model-side decode latency of one batch flush.
-
-        ``requests`` is the number of requests the flush served; each gets
-        one sample (every rider waited for the whole batched decode), so the
-        quantiles are per-request like the end-to-end ones.
-        """
+    def record_decode(self, latency_ms: float) -> None:
+        """Record one request's model-side decode latency (join → retire)."""
         with self._lock:
-            for _ in range(max(1, requests)):
-                self._decode_ms.append(latency_ms)
+            self._decode_ms.append(latency_ms)
 
     def record_stream(self) -> None:
         """Record one completed streaming request (also counted as a request

@@ -1,25 +1,24 @@
 """Continuous batching: an iteration-level scheduler with KV-row join/retire.
 
-The micro-batcher (:mod:`repro.serving.batching`) schedules at *request*
-granularity: a batch forms, decodes to completion, and only then does the
-next batch start.  Under mixed workloads that wastes most of the decoder —
-a batch of one long and seven short requests spends the tail decoding a
-single row while seven slots sit idle and new arrivals queue behind the
-whole flush.
+This is the serving layer's one decode path.  Scheduling at *request*
+granularity — form a batch, decode it to completion, only then start the
+next — wastes most of the decoder under mixed workloads: a batch of one
+long and seven short requests spends the tail decoding a single row while
+seven slots sit idle and new arrivals queue behind the whole batch.
 
 This module schedules at *iteration* granularity (the continuous batching
-of Orca, and of production LLM servers since): between any two decode
-steps, finished requests **retire** out of the in-flight batch and queued
-requests **join** it, so the batch stays full whenever there is work.  The
-machinery that makes a mid-decode join exact — per-row KV-cache lengths,
-per-row decode positions, join-time cross-attention population — lives in
+of Orca, Yu et al., OSDI 2022, and of production LLM servers since):
+between any two decode steps, finished requests **retire** out of the
+in-flight batch and queued requests **join** it, so the batch stays full
+whenever there is work.  The machinery that makes a mid-decode join exact
+— per-row KV-cache lengths, per-row decode positions, join-time
+cross-attention population — lives in
 :class:`repro.model.generation.ContinuousDecoderLoop`; per-request decoding
 strategies (greedy / beam / seeded sampling) ride along as
 :class:`repro.model.decoding.RowDecodeState` machines, each consuming its
 own block of the batched logits.  A request's output is therefore bitwise
 identical to its sequential decode regardless of what joins or retires
-around it, which is what lets the serving layer flip this on by default
-(``tests/test_decoding_differential.py`` pins the property down).
+around it (``tests/test_decoding_differential.py`` pins the property down).
 
 Layering:
 
@@ -29,16 +28,18 @@ Layering:
 * :class:`ContinuousScheduler` — the threaded front: a bounded admission
   queue, a worker that fills the batch to capacity between steps
   (fairness-guarded — see :class:`SchedulerPolicy`), and a
-  :class:`~concurrent.futures.Future`-based ``submit`` mirroring the
-  micro-batcher's contract so :class:`repro.serving.service.InferenceService`
-  can put either behind the same cache/single-flight path.
+  :class:`~concurrent.futures.Future`-based ``submit`` that
+  :class:`repro.serving.service.InferenceService` puts behind its
+  cache/single-flight path.
 
-Unlike the micro-batcher, batches here need not share one decoding
-strategy: config homogeneity is relaxed to per-row strategy state, so a
-beam-4 request and a greedy request decode in the same iteration.  One
-thing still binds a batch: the model.  All rows attend one set of weights,
-so requests for a different ``name@revision`` wait until the batch drains
-(drain-then-switch), with the same starvation guard as oversized requests.
+Batches need not share one decoding strategy: each request carries its own
+row state, so a beam-4 request and a greedy request decode in the same
+iteration.  One thing binds a batch: the model.  All rows attend one set of
+weights, so requests for a different ``name@revision`` wait until the batch
+drains (drain-then-switch), with the same starvation guard as wide
+requests.  A beam wider than the whole batch (``beam_size > max_rows``)
+is admitted alone once the batch has drained and decodes at its own
+``beam_size`` rows, so every beam the API accepts is served.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from ..model.decoding import DecodingStrategy, RowDecodeState
 from ..model.generation import ContinuousDecoderLoop
 
 #: ``on_token`` callback: called with each emitted token id as the request's
-#: rows decode (beam replays the winner at retirement, like the static path).
+#: rows decode (beam replays the winner at retirement).
 OnToken = Callable[[int], None]
 
 
@@ -65,9 +66,10 @@ class SchedulerPolicy:
     """Admission policy knobs for :class:`ContinuousScheduler`.
 
     ``max_rows`` caps the in-flight batch (a beam-``k`` request occupies
-    ``k`` rows).  ``max_queue`` bounds the admission queue — beyond it,
-    ``submit`` raises :class:`QueueFullError` so callers shed load instead
-    of growing an unbounded backlog.  ``starvation_limit`` is the fairness
+    ``k`` rows; a request wider than ``max_rows`` runs alone).
+    ``max_queue`` bounds the admission queue — beyond it, ``submit`` raises
+    :class:`QueueFullError` so callers shed load instead of growing an
+    unbounded backlog.  ``starvation_limit`` is the fairness
     guard: FIFO order is relaxed so smaller requests may jump a queue head
     that does not fit the free rows (fill-to-capacity), but after the head
     has been bypassed in ``starvation_limit`` consecutive scheduling passes
@@ -236,9 +238,7 @@ class ContinuousScheduler:
     fills the in-flight batch to ``policy.max_rows`` from the admission
     queue (FIFO with the fill-to-capacity / anti-starvation relaxation —
     see :class:`SchedulerPolicy`), runs one decode iteration, and resolves
-    the futures of whatever finished.  ``submit`` mirrors
-    :meth:`repro.serving.batching.MicroBatcher.submit` so the service's
-    cache / single-flight / lease plumbing is scheduler-agnostic.
+    the futures of whatever finished.
 
     Error containment: a failed **join** (encode raised) fails that request
     alone; a failed **step** poisons the whole in-flight batch — every
@@ -329,9 +329,9 @@ class ContinuousScheduler:
                 if rows:
                     joined_by_config[work.strategy.canonical()] += 1
             if self.metrics is not None:
-                # Each same-config join group is the continuous analogue of
-                # one micro-batch flush, so the static dashboards
-                # (batches_total, batches_by_config) stay populated.
+                # Each same-config join group counts as one batch, which
+                # keeps the batches_total / batches_by_config dashboards
+                # populated.
                 for label, count in joined_by_config.items():
                     self.metrics.record_batch(count, label)
             batch = self._batch
@@ -358,7 +358,9 @@ class ContinuousScheduler:
         model matches the in-flight batch); otherwise later, smaller
         requests may jump ahead — until the head has been bypassed
         ``starvation_limit`` passes in a row, after which nothing jumps and
-        free rows are held for it (drain-to-fit / drain-then-switch).
+        free rows are held for it (drain-to-fit / drain-then-switch).  A
+        request wider than ``max_rows`` fits only an empty batch, and then
+        joins alone.
 
         Row need is conservatively ``strategy.row_state().rows`` — computed
         without touching the model, so it is safe under the lock.
@@ -379,12 +381,14 @@ class ContinuousScheduler:
             try:
                 rows = self._rows_needed(work)
             except Exception:  # noqa: BLE001 — _admit re-raises it properly
-                # Unsupported or oversized: pop it; _admit fails its future
+                # Unsupported strategy: pop it; _admit fails its future
                 # (outside the lock) with the real error.
                 del self._queue[index]
                 admitted.append(work)
                 continue
-            fits = rows <= free and (
+            alone = (rows > self.policy.max_rows and not admitted
+                     and free == self.policy.max_rows)
+            fits = (rows <= free or alone) and (
                 self._identity is None
                 or work.entry.identity == self._identity)
             if fits:
@@ -416,14 +420,9 @@ class ContinuousScheduler:
 
     def _rows_needed(self, work: SchedWork) -> int:
         """Rows ``work`` will occupy — computed without touching the model
-        (safe under the lock).  Raises for strategies that do not support
-        continuous batching or cannot fit the batch at all."""
-        rows = work.strategy.row_state(sos_id=0, eos_id=0).rows
-        if rows > self.policy.max_rows:
-            raise ValueError(
-                f"strategy {work.strategy.canonical()!r} needs {rows} rows "
-                f"but the scheduler batch is capped at {self.policy.max_rows}")
-        return rows
+        (safe under the lock).  Raises ``NotImplementedError`` for a
+        strategy without a per-row state machine."""
+        return work.strategy.row_state(sos_id=0, eos_id=0).rows
 
     def _admit(self, work: SchedWork) -> int:
         """Join one popped request to the batch; returns rows joined (0 on

@@ -12,11 +12,14 @@ Endpoints
     ``{"type": "token", "index": n, "token": "<code token>"}`` line per
     generated token as the model emits it, then a single
     ``{"type": "final", "response": {...}}`` line with the full response.
+    A failure after the 200 (a decode error, or a full admission queue) is
+    one ``{"type": "error", "error": {...}}`` line carrying the same
+    envelope the non-streaming route would answer.
 ``POST /v1/advise/batch``
     Async bulk advising: ``{"items": [<advise request>, ...]}`` (optional
     top-level ``model``/``strategy`` defaults) answers **202** with
     ``{"job_id": ..., "status": "queued", ...}`` immediately; the items run
-    through the same micro-batcher as interactive traffic.  The job tier is
+    through the same continuous batch as interactive traffic.  The job tier is
     **durable** when the server has a ``--registry-root``: every submit is
     WAL-fsynced before the 202, and a restarted server resumes unfinished
     jobs.  Backpressure is typed: **429** ``queue_full`` when the unfinished
@@ -56,15 +59,16 @@ Invalid requests get the structured envelope
 ``{"error": {"code", "message", "field"}}`` from every route: **400** for
 malformed bodies (bad JSON, wrong types, unknown fields), **422** for
 well-formed requests with out-of-range parameter values (NaN/inf/negative
-knobs, oversized beams).  Validation itself lives in
+knobs, oversized beams), and **429** ``queue_full`` (with ``Retry-After``)
+when the decode admission queue is full.  Validation itself lives in
 :meth:`repro.api.AdviseRequest.validate` — the server only translates the
 raised :class:`repro.api.ApiError`.
 
 The server is a :class:`http.server.ThreadingHTTPServer`: each connection
-gets a thread, the threads converge on the service's micro-batcher, and the
-batcher turns their concurrency into model batches.  No third-party web
-framework is required — the point is that the serving layer runs anywhere the
-reproduction itself runs.
+gets a thread, the threads converge on the service's continuous scheduler,
+and the scheduler turns their concurrency into shared decode steps.  No
+third-party web framework is required — the point is that the serving layer
+runs anywhere the reproduction itself runs.
 
 Run it::
 
@@ -351,7 +355,7 @@ class AdviseRequestHandler(BaseHTTPRequestHandler):
                 except OSError:
                     return  # client went away; stop consuming the stream
         except Exception as exc:  # noqa: BLE001 — decode failure mid-stream
-            envelope = ApiError.internal(f"{type(exc).__name__}: {exc}").to_dict()
+            envelope = _to_api_error(exc).to_dict()
             try:
                 self.wfile.write(json.dumps({"type": "error", **envelope})
                                  .encode() + b"\n")
@@ -435,17 +439,14 @@ def _demo_model(checkpoint: str | None):
                         dataset.splits.validation[:8], config)
 
 
-def _demo_service(checkpoint: str | None, *, max_batch_size: int, max_wait_ms: float,
-                  num_workers: int, cache_capacity: int,
-                  registry_root: str | None = None,
-                  scheduler: str = "continuous") -> InferenceService:
+def _demo_service(checkpoint: str | None, *, max_batch_size: int,
+                  cache_capacity: int,
+                  registry_root: str | None = None) -> InferenceService:
     """A service over a checkpoint, or over a freshly trained small model."""
     return InferenceService(_demo_model(checkpoint),
                             max_batch_size=max_batch_size,
-                            max_wait_ms=max_wait_ms, num_workers=num_workers,
                             cache_capacity=cache_capacity,
-                            registry_root=registry_root,
-                            scheduler=scheduler)
+                            registry_root=registry_root)
 
 
 def _run_smoke(service: InferenceService) -> int:
@@ -662,14 +663,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--registry-root", default=None,
                         help="durable-state directory; enables the batch-job "
                              "WAL at <root>/jobs/jobs.wal and crash resume")
-    parser.add_argument("--max-batch-size", type=int, default=8)
-    parser.add_argument("--max-wait-ms", type=float, default=5.0)
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--max-batch-size", type=int, default=8,
+                        help="rows in the continuous decode batch; a wider "
+                             "beam decodes alone once the batch drains")
     parser.add_argument("--cache-capacity", type=int, default=256)
-    parser.add_argument("--scheduler", choices=("continuous", "static"),
-                        default="continuous",
-                        help="decode scheduling: iteration-level continuous "
-                             "batching (default) or the static micro-batcher")
     parser.add_argument("--smoke", action="store_true",
                         help="start, exercise every advise route, the model "
                              "listing and one batch job round-trip, exit")
@@ -682,10 +679,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run_smoke_resume(args)
 
     service = _demo_service(args.checkpoint, max_batch_size=args.max_batch_size,
-                            max_wait_ms=args.max_wait_ms, num_workers=args.workers,
                             cache_capacity=args.cache_capacity,
-                            registry_root=args.registry_root,
-                            scheduler=args.scheduler)
+                            registry_root=args.registry_root)
     if args.smoke:
         return _run_smoke(service)
 

@@ -1,4 +1,4 @@
-"""The InferenceService facade: cache → single-flight → micro-batch → model.
+"""The InferenceService facade: cache → single-flight → continuous batch → model.
 
 This is the serving layer's front door, and it speaks the **repro.api v1
 contract**: requests are :class:`repro.api.AdviseRequest` values carrying a
@@ -17,32 +17,33 @@ short-circuits before it is allowed to cost a model decode:
    flight, the new request subscribes to its future instead of decoding the
    same program twice.  Coalesced requests count as cache hits in the
    metrics: they skipped the model.
-3. **Micro-batcher** — genuine misses are queued and flushed to
-   :meth:`MPIRical.predict_code_batch` in dynamic batches
-   (:mod:`repro.serving.batching`), so concurrent distinct requests share
-   encoder/decoder passes.
+3. **Continuous batch** — genuine misses join the iteration-level
+   scheduler (:mod:`repro.serving.sched`), so concurrent distinct requests
+   share decoder steps whatever their strategy.  This is the one decode
+   path: every greedy, beam and sampling decode — interactive, streamed or
+   job item — runs through it.  A full admission queue answers the
+   contract's 429 ``queue_full`` envelope.
 
-Cache keys, micro-batch groups and the per-config batch metrics are all
-derived from the **same canonical strategy string**
-(:meth:`DecodingStrategy.canonical` after :meth:`normalised`), so two
-requests share a batch exactly when they could share a cache entry — no
-hand-maintained label function can drift out of sync with the key.
+Cache keys and the per-config batch metrics are both derived from the
+**same canonical strategy string** (:meth:`DecodingStrategy.canonical`
+after :meth:`normalised`), so no hand-maintained label function can drift
+out of sync with the key.
 
-**Streaming** (:meth:`InferenceService.advise_stream`) runs a request's
-decode on a dedicated thread and yields each generated token as it is
-emitted, followed by the final :class:`AdviseResponse`.  Streams bypass the
-micro-batcher (a stream is one decode by construction) but still read and
-populate the shared cache: a cache hit replays its tokens instantly.
+**Streaming** (:meth:`InferenceService.advise_stream`) joins the same
+continuous batch with a per-token callback and yields each generated token
+as it is emitted, followed by the final :class:`AdviseResponse`.  Streams
+bypass single-flight but still read and populate the shared cache: a cache
+hit replays its tokens instantly.
 
 **Multi-model routing** (v1.1): the service fronts a
 :class:`repro.registry.ModelRegistry` instead of one hard-wired model.  A
 request's optional ``model`` reference (alias, name, or pinned
 ``name@revision``) resolves to a registry entry *before* anything else
-happens; the resolved identity becomes part of the cache key, the
-single-flight key and the micro-batch group key, so two models — or two
-revisions of one model across a hot-swap — can never share a cache entry, a
-coalesced decode or a batch.  Each decode holds a **lease** on its entry for
-its whole life, which is what makes :meth:`repro.registry.ModelRegistry.swap`
+happens; the resolved identity becomes part of the cache key and the
+single-flight key, and the scheduler never mixes two models in one batch,
+so two models — or two revisions of one model across a hot-swap — can never
+share a cache entry, a coalesced decode or a batch.  Each decode holds a
+**lease** on its entry for its whole life, which is what makes :meth:`repro.registry.ModelRegistry.swap`
 safe under traffic: the alias flip is atomic, requests that already resolved
 drain on the old revision, and the old entry unloads only after its last
 lease returns.  Constructing the service from a bare pipeline still works —
@@ -82,7 +83,6 @@ from ..registry import ModelEntry, ModelRegistry, RegistryError
 from ..tokenization.code_tokenizer import tokenize_code
 from ..verify import VerificationReport, VerifyConfig, verify_candidates
 from ..xsbt.xsbt import xsbt_string
-from .batching import MicroBatcher
 from .cache import LRUCache, canonical_cache_key
 from .metrics import ServingMetrics
 from .sched import ContinuousScheduler, QueueFullError, SchedulerPolicy, SchedWork
@@ -108,7 +108,7 @@ def anchor_result(source_code: str, result: PredictionResult) -> PredictionResul
 
 
 def generation_label(generation: GenerationConfig) -> str:
-    """The batching/metrics label of a legacy generation config.
+    """The metrics label of a legacy generation config.
 
     Kept for backward compatibility; the label *is* the canonical serialized
     form of the equivalent strategy, so it can never drift from the cache
@@ -136,22 +136,6 @@ class ServedAdvice:
     model: str | None = None
 
 
-@dataclass
-class _AdviseWork:
-    """A cache miss on its way to the model (lexed once, decoded in batch)."""
-
-    source_code: str
-    xsbt: str
-    #: The request thread's lexer output, reused by the encoder at flush time.
-    tokens: list[str]
-    #: Resolved decoding strategy; the batcher groups flushes by its
-    #: canonical serialized form together with the model identity.
-    strategy: DecodingStrategy
-    #: The registry entry (already loaded + leased) the decode must run on —
-    #: pinned at submit time, so a hot-swap mid-queue cannot reroute it.
-    entry: ModelEntry | None = None
-
-
 class InferenceService:
     """Concurrent advising facade over :class:`MPIRical` / :class:`MPIAssistant`.
 
@@ -162,8 +146,10 @@ class InferenceService:
         shorthand — a trained :class:`MPIRical` pipeline / an
         :class:`MPIAssistant` wrapping one, which is registered as the
         registry's ``default`` model.
-    max_batch_size / max_wait_ms / num_workers:
-        Micro-batcher policy; see :class:`repro.serving.batching.MicroBatcher`.
+    max_batch_size:
+        Rows in the continuous batch (``max_rows`` of
+        :class:`repro.serving.sched.SchedulerPolicy`); a beam-``k`` request occupies ``k`` rows, and a beam
+        wider than the batch decodes alone once the batch has drained.
     cache_capacity:
         LRU entries to keep; ``0`` disables caching (every request decodes).
         The cache is shared across models; keys embed ``name@revision``.
@@ -178,26 +164,14 @@ class InferenceService:
     job_policy:
         Backpressure/hygiene knobs for the job store
         (:class:`repro.serving.jobs.JobPolicy`); ``None`` uses the defaults.
-    scheduler:
-        Decode scheduling mode.  ``"continuous"`` (the default) runs
-        iteration-level continuous batching (:mod:`repro.serving.sched`):
-        requests join and leave the in-flight batch between decode steps,
-        capped at ``max_batch_size`` rows.  ``"static"`` keeps every decode
-        on the request-level micro-batcher.  The micro-batcher always exists
-        as the fallback path — strategies without per-row state, oversized
-        beam requests and scheduler backpressure all shed to it — and both
-        paths produce bitwise-identical outputs, so the mode is purely an
-        efficiency/latency knob.
     """
 
     def __init__(self, model: MPIRical | MPIAssistant | ModelRegistry, *,
-                 max_batch_size: int = 8, max_wait_ms: float = 5.0,
-                 num_workers: int = 1, cache_capacity: int = 256,
+                 max_batch_size: int = 8, cache_capacity: int = 256,
                  generation: GenerationConfig | None = None,
                  metrics_window: int = 1024,
                  registry_root: "str | Path | None" = None,
-                 job_policy: "JobPolicy | None" = None,
-                 scheduler: str = "continuous") -> None:
+                 job_policy: "JobPolicy | None" = None) -> None:
         if isinstance(model, ModelRegistry):
             self.registry = model
         else:
@@ -218,27 +192,9 @@ class InferenceService:
                              if cache_capacity > 0 else None)
         self._inflight: dict[str, Future] = {}
         self._inflight_lock = Lock()
-        self.batcher = MicroBatcher(
-            self._process_batch,
-            max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-            # A batch is homogeneous in *both* dimensions that change model
-            # output: the decoding strategy and the model revision.
-            group_key=lambda work: (work.entry.identity,
-                                    work.strategy.canonical()),
-            # Metrics keep the pre-registry strategy-only labels; per-model
-            # traffic is tracked by requests_by_model instead.
-            on_batch=lambda size, group: self.metrics_.record_batch(
-                size, group=group[1]),
-            num_workers=num_workers,
-        )
-        if scheduler not in ("continuous", "static"):
-            raise ValueError(
-                f'scheduler must be "continuous" or "static", got {scheduler!r}')
-        self.scheduler = scheduler
-        self.sched = (ContinuousScheduler(
+        self.sched = ContinuousScheduler(
             policy=SchedulerPolicy(max_rows=max_batch_size),
-            metrics=self.metrics_) if scheduler == "continuous" else None)
+            metrics=self.metrics_)
         self._jobs = None
         self._jobs_lock = Lock()
         self._closed = False
@@ -306,8 +262,8 @@ class InferenceService:
 
         The graceful half of a worker shutdown: after ``drain()`` every new
         advise/stream/job submission answers the 503 ``unavailable``
-        envelope (with a ``Retry-After`` hint), while queued micro-batches,
-        in-flight decodes and running jobs finish normally.  The pool
+        envelope (with a ``Retry-After`` hint), while queued and in-flight
+        decodes and running jobs finish normally.  The pool
         router calls this, stops routing to the worker, waits for
         :meth:`pending_work` to reach zero, and only then terminates the
         process — which is what makes a rolling restart lose nothing.
@@ -318,17 +274,15 @@ class InferenceService:
         return {"draining": True, "pending": self.pending_work()}
 
     def pending_work(self) -> int:
-        """Work still owed to callers: queued batches, in-flight decodes
-        and unfinished jobs.  Zero means terminating the process drops
+        """Work still owed to callers: queued and in-flight decodes and
+        unfinished jobs.  Zero means terminating the process drops
         nothing (streams are best-effort and excluded — a stream's client
         observes the cut and simply retries)."""
         with self._inflight_lock:
             inflight = len(self._inflight)
-        pending = self.batcher.pending() + inflight
-        if self.sched is not None:
-            # In-flight scheduler decodes are already counted via the
-            # single-flight dict; only the admission queue adds new work.
-            pending += self.sched.queue_depth()
+        # In-flight scheduler decodes are already counted via the
+        # single-flight dict; only the admission queue adds new work.
+        pending = inflight + self.sched.queue_depth()
         jobs = self.job_store()
         if jobs is not None:
             snapshot = jobs.snapshot()
@@ -358,7 +312,7 @@ class InferenceService:
         When the request carries a ``verify`` block, the response is taken
         through bounded synchronous verification on the calling thread
         (simulate-and-rerank; see :meth:`apply_verification`) before it is
-        returned — the decode itself still rides the shared batcher.
+        returned — the decode itself still rides the shared continuous batch.
         """
         response = self.advise_request_async(request).result(timeout)
         if request.verify is not None:
@@ -492,12 +446,11 @@ class InferenceService:
         chunks arrive just before the final result.
 
         Streams read and populate the shared LRU cache (a hit replays its
-        cached tokens immediately) and bypass single-flight.  Under the
-        default continuous scheduler the stream's decode joins the shared
-        in-flight batch — tokens surface per iteration while other requests
-        decode in the same steps; in static mode (or when the scheduler
-        cannot serve the strategy) a stream falls back to one dedicated
-        decode.
+        cached tokens immediately) and bypass single-flight.  The stream's
+        decode joins the shared in-flight batch — tokens surface per
+        iteration while other requests decode in the same steps.  A full
+        admission queue (429 ``queue_full``) or a failed decode surfaces as
+        an exception from the generator.
 
         Validation is eager — an invalid request raises here, at call time,
         not at the first ``next()`` (the HTTP layer relies on this to answer
@@ -513,8 +466,7 @@ class InferenceService:
     def _stream(self, request: AdviseRequest, strategy: DecodingStrategy,
                 entry: ModelEntry, *, echo_model: bool) -> Iterator[dict]:
         start = time.perf_counter()
-        mpirical = entry.ensure_loaded()
-        vocab = mpirical.encoder.vocab
+        vocab = entry.ensure_loaded().encoder.vocab
 
         unit, diagnostics = parse_source_with_diagnostics(request.code)
         xsbt = xsbt_string(unit)
@@ -552,25 +504,9 @@ class InferenceService:
                 chunks.put(("error", exc))
                 return
             try:
-                # Continuous mode folds the stream's decode into the shared
-                # in-flight batch — tokens surface per iteration while other
-                # requests decode in the same steps.  The static fallback
-                # (scheduler off / unsupported strategy) keeps the dedicated
-                # per-stream decode.
-                work = _AdviseWork(source_code=request.code, xsbt=xsbt,
-                                   tokens=tokens, strategy=strategy,
-                                   entry=entry)
-                shared = self._submit_sched(work, on_token=on_token)
-                if shared is not None:
-                    result = shared.result()
-                else:
-                    decode_start = time.perf_counter()
-                    result = mpirical.predict_code(
-                        request.code, xsbt, strategy=strategy,
-                        generation=self._default_generation(entry),
-                        source_tokens=tokens, on_token=on_token)
-                    decode_ms = (time.perf_counter() - decode_start) * 1000.0
-                    self.metrics_.record_decode(decode_ms)
+                result = self._submit_sched(request.code, xsbt, tokens,
+                                            strategy, entry,
+                                            on_token=on_token).result()
                 # Cache here, on the worker: a completed decode must not be
                 # discarded just because the streaming client disconnected
                 # and abandoned the consuming generator — its retry should
@@ -666,11 +602,8 @@ class InferenceService:
         snapshot = self.metrics_.snapshot()
         snapshot["cache"] = (self.cache.stats().as_dict() if self.cache is not None
                              else {"enabled": False})
-        snapshot["queued_requests"] = self.batcher.pending() + (
-            self.sched.queue_depth() if self.sched is not None else 0)
-        snapshot["max_batch_size"] = self.batcher.max_batch_size
-        snapshot["max_wait_ms"] = self.batcher.max_wait * 1000.0
-        snapshot["scheduler"] = self.scheduler
+        snapshot["queued_requests"] = self.sched.queue_depth()
+        snapshot["max_batch_size"] = self.sched.policy.max_rows
         snapshot["registry"] = self.registry.snapshot()
         snapshot["draining"] = self._draining
         jobs = self.job_store()
@@ -679,10 +612,10 @@ class InferenceService:
         return snapshot
 
     def close(self, *, job_drain_timeout: float | None = 5.0) -> None:
-        """Drain queued requests and stop the worker pool (and job store).
+        """Drain queued requests and stop the scheduler (and job store).
 
         The job store closes *first* and with a **bounded** join (its items
-        run through the batcher, so the batcher must outlive the drain) —
+        run through the scheduler, so the scheduler must outlive the drain) —
         one hung decode ends the wait after ``job_drain_timeout`` seconds
         instead of hanging server shutdown forever.  With durability on, the
         abandoned work is simply re-enqueued on the next open.
@@ -696,9 +629,7 @@ class InferenceService:
                 jobs = self._jobs
             if jobs is not None:
                 jobs.close(wait=True, timeout=job_drain_timeout)
-            self.batcher.close()
-            if self.sched is not None:
-                self.sched.close(wait=True)
+            self.sched.close(wait=True)
 
     def __enter__(self) -> "InferenceService":
         return self
@@ -717,9 +648,6 @@ class InferenceService:
         if entry is None:
             return GenerationConfig()
         return entry.ensure_loaded().generation
-
-    def _max_length(self) -> int:
-        return self._default_generation().max_length
 
     def _resolve_entry(self, model_spec: str | None) -> ModelEntry:
         """Resolve a request's ``model`` reference to a loaded registry entry.
@@ -807,7 +735,7 @@ class InferenceService:
     def _advise_async(self, source_code: str, strategy: DecodingStrategy,
                       generation_view: GenerationConfig | None = None,
                       entry: ModelEntry | None = None) -> Future:
-        """The shared (cache → single-flight → batch) path for one request.
+        """The shared (cache → single-flight → scheduler) path for one request.
 
         ``generation_view`` overrides the legacy config echoed on
         :attr:`ServedAdvice.generation` (the legacy shim passes the merged
@@ -838,8 +766,6 @@ class InferenceService:
                               entry=entry)
                 return response
 
-        work = _AdviseWork(source_code=source_code, xsbt=xsbt, tokens=tokens,
-                           strategy=strategy, entry=entry)
         late_hit = None
         with self._inflight_lock:
             inflight = self._inflight.get(key)
@@ -854,9 +780,8 @@ class InferenceService:
                 if late_hit is None:
                     entry.acquire()
                     try:
-                        inflight = self._submit_sched(work)
-                        if inflight is None:
-                            inflight = self.batcher.submit(work)
+                        inflight = self._submit_sched(source_code, xsbt,
+                                                      tokens, strategy, entry)
                     except BaseException:
                         entry.release()
                         raise
@@ -903,9 +828,9 @@ class InferenceService:
                  entry: ModelEntry | None = None) -> None:
         """Build this request's session (own anchors + diagnostics) and finish.
 
-        A non-cached resolve is the owner of the decode, and the batch already
-        extracted suggestions against this very buffer — only cache hits and
-        coalesced followers (possibly layout-shifted buffers) re-anchor.
+        A non-cached resolve is the owner of the decode, and the scheduler
+        already extracted suggestions against this very buffer — only cache
+        hits and coalesced followers (possibly layout-shifted buffers) re-anchor.
         """
         if cached:
             result = anchor_result(source_code, result)
@@ -921,60 +846,26 @@ class InferenceService:
                                          generation=view, strategy=strategy,
                                          model=identity))
 
-    def _submit_sched(self, work: _AdviseWork,
-                      on_token=None) -> Future | None:
-        """Submit ``work`` to the continuous scheduler, if it can serve it.
+    def _submit_sched(self, source_code: str, xsbt: str, tokens: list[str],
+                      strategy: DecodingStrategy, entry: ModelEntry,
+                      on_token=None) -> Future:
+        """Queue one decode on the continuous scheduler; returns its future.
 
-        Returns ``None`` when the static path must serve the request instead:
-        the service runs in ``"static"`` mode, the strategy has no per-row
-        state machine, the request needs more rows than the whole batch has,
-        or the scheduler queue is full (backpressure sheds to the batcher
-        rather than failing — both paths are bit-identical).  ``on_token``
-        streams token ids per iteration (the streaming path).
+        The buffer arrives parsed and lexed, and ``entry`` is already
+        resolved and leased, so a hot-swap mid-queue cannot reroute it.
+        ``on_token`` streams token ids per iteration (the streaming path).
+        A full admission queue raises the contract's 429 ``queue_full``
+        :class:`repro.api.ApiError`; a strategy without a per-row state
+        machine fails its own future inside the scheduler.  The decode wall
+        time (join → retire) is recorded per request as
+        ``decode_latency_ms_p50/p95`` in ``/metrics``.
         """
-        if self.sched is None:
-            return None
+        work = SchedWork(source_code=source_code, xsbt=xsbt, tokens=tokens,
+                         strategy=strategy, entry=entry,
+                         max_length=self._default_generation(entry).max_length,
+                         on_token=on_token)
         try:
-            rows = work.strategy.row_state(sos_id=0, eos_id=0).rows
-        except NotImplementedError:
-            return None
-        if rows > self.sched.policy.max_rows:
-            return None
-        sched_work = SchedWork(
-            source_code=work.source_code, xsbt=work.xsbt, tokens=work.tokens,
-            strategy=work.strategy, entry=work.entry,
-            max_length=self._default_generation(work.entry).max_length,
-            on_token=on_token)
-        try:
-            return self.sched.submit(sched_work)
-        except QueueFullError:
-            return None
-
-    def _process_batch(self, works: list[_AdviseWork]) -> list[PredictionResult]:
-        """Flush one micro-batch through the batched decode path.
-
-        The batcher groups flushes by ``(model identity, canonical strategy
-        string)``, so every work item in the batch shares one decoding
-        strategy *and* one model revision — the whole flush runs through that
-        entry's batched decoder.  Each work item's owner already holds a
-        lease on the entry, so the weights cannot be unloaded under the
-        flush.  Returns raw prediction results; per-request session assembly
-        (advice anchoring, diagnostics) happens back on the requesting side
-        so that coalesced and cached followers are anchored to *their*
-        buffers.
-
-        The decode wall time is recorded per request rider as the model-side
-        decode latency (``decode_latency_ms_p50/p95`` in ``/metrics``).
-        """
-        entry = works[0].entry
-        start = time.perf_counter()
-        results = entry.ensure_loaded().predict_code_batch(
-            [work.source_code for work in works],
-            [work.xsbt for work in works],
-            strategy=works[0].strategy,
-            generation=self._default_generation(entry),
-            source_tokens=[work.tokens for work in works],
-        )
-        decode_ms = (time.perf_counter() - start) * 1000.0
-        self.metrics_.record_decode(decode_ms, requests=len(works))
-        return results
+            return self.sched.submit(work)
+        except QueueFullError as exc:
+            raise ApiError.queue_full(
+                f"{exc}; retry after the in-flight decodes drain") from exc

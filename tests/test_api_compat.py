@@ -23,7 +23,7 @@ FAST = GenerationConfig(max_length=60)
 
 @pytest.fixture(scope="module")
 def service(tiny_model):
-    with InferenceService(tiny_model, max_batch_size=4, max_wait_ms=5,
+    with InferenceService(tiny_model, max_batch_size=4,
                           cache_capacity=64, generation=FAST) as svc:
         yield svc
 
@@ -97,7 +97,7 @@ def test_partial_legacy_overrides_merge_onto_the_service_default(tiny_model):
     """Pre-v1 semantics: beam_size= alone keeps the configured length
     penalty, length_penalty= alone keeps the configured beam size."""
     base = GenerationConfig(max_length=60, beam_size=3, length_penalty=0.7)
-    with InferenceService(tiny_model, max_batch_size=2, max_wait_ms=2,
+    with InferenceService(tiny_model, max_batch_size=2,
                           cache_capacity=8, generation=base) as svc:
         assert svc.legacy_strategy(4, None) == BeamStrategy(
             beam_size=4, length_penalty=0.7)

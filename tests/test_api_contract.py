@@ -304,7 +304,7 @@ def test_canonical_distinguishes_every_output_changing_parameter():
 
 def test_int_and_float_spellings_share_one_canonical_identity():
     """JSON clients spell 1.0 as 1 freely; both spellings must hit the same
-    cache entries and micro-batch groups (numeric fields coerce to float)."""
+    cache entries and metric buckets (numeric fields coerce to float)."""
     assert BeamStrategy(beam_size=4, length_penalty=1) == \
         BeamStrategy(beam_size=4, length_penalty=1.0)
     assert strategy_from_dict({"name": "beam", "beam_size": 4,

@@ -42,7 +42,7 @@ CASES = sorted(GOLDEN_DIR.glob("*.json"))
 
 @pytest.fixture(scope="module")
 def endpoint(tiny_model):
-    service = InferenceService(tiny_model, max_batch_size=4, max_wait_ms=5,
+    service = InferenceService(tiny_model, max_batch_size=4,
                                cache_capacity=64,
                                generation=GenerationConfig(max_length=60))
     server = make_server(service, port=0, quiet=True)

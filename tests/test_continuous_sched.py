@@ -12,8 +12,10 @@ Three layers, mirroring the module's own layering:
 * :class:`ContinuousScheduler` — futures contract, FIFO fill-to-capacity
   with the anti-starvation guard, drain-then-switch across models,
   backpressure, poison-and-recover, clean close; then the
-  :class:`InferenceService` wiring (continuous is the default path, static
-  stays available and bit-identical) and the router's pool-wide view.
+  :class:`InferenceService` wiring (the scheduler is the one decode path:
+  a beam wider than the batch decodes alone and exactly, a full admission
+  queue answers 429 ``queue_full`` on every surface) and the router's
+  pool-wide view.
 
 The *exactness* of continuous decoding (staggered joins ≡ sequential,
 bitwise) is pinned down in ``tests/test_decoding_differential.py``; these
@@ -302,16 +304,46 @@ class _NoRowStrategy(DecodingStrategy):
         return "norow"
 
 
-def test_unsupported_and_oversized_strategies_fail_their_own_future():
+def test_unsupported_strategy_fails_alone_and_oversized_beam_decodes_alone():
+    """An unsupported strategy fails its own future; a beam wider than the
+    whole batch is admitted alone once the batch drains and decodes exactly
+    its sequential result, and neither disturbs the requests around it."""
+    beam4 = BeamStrategy(beam_size=4)
     with ContinuousScheduler(policy=SchedulerPolicy(max_rows=2)) as sched:
         unsupported = sched.submit(make_work("3", _NoRowStrategy()))
-        oversized = sched.submit(make_work("3", BeamStrategy(beam_size=4)))
+        before = sched.submit(make_work("5 6"))
+        oversized = sched.submit(make_work("3 4 5", beam4))
         survivor = sched.submit(make_work("3 4"))
         with pytest.raises(NotImplementedError, match="continuous batching"):
             unsupported.result(timeout=30)
-        with pytest.raises(ValueError, match="capped at 2"):
-            oversized.result(timeout=30)
+        assert oversized.result(timeout=30) == sequential("3 4 5", beam4)
+        assert before.result(timeout=30) == sequential("5 6")
         assert survivor.result(timeout=30) == sequential("3 4")
+
+
+def test_oversized_head_waits_for_an_empty_batch_then_joins_alone():
+    """Unit-drive the admission pass: a beam wider than ``max_rows`` never
+    joins a busy batch, and joins an empty one with nothing beside it."""
+    sched = ContinuousScheduler(policy=SchedulerPolicy(max_rows=2))
+    sched.close(wait=True)  # worker gone; we drive passes by hand
+    sched._closed = False
+    entry = StubEntry()
+    wide = make_work("3", BeamStrategy(beam_size=3), entry=entry)
+    sched._batch = SimpleNamespace(num_requests=1, num_rows=1)
+    sched._identity = entry.identity
+    sched._queue.extend([wide, make_work("4", entry=entry)])
+    assert [w.source_code for w in _drain_pass(sched)] == ["4"]
+    sched._batch = SimpleNamespace(num_requests=0, num_rows=0)
+    sched._queue.append(make_work("5", entry=entry))
+    assert _drain_pass(sched) == [wide]
+    assert [w.source_code for w in sched._queue] == ["5"]
+
+
+@pytest.mark.parametrize("bounds", [dict(max_rows=0), dict(max_queue=0),
+                                    dict(starvation_limit=0)])
+def test_policy_rejects_non_positive_bounds(bounds):
+    with pytest.raises(ValueError, match=next(iter(bounds))):
+        SchedulerPolicy(**bounds)
 
 
 def test_submit_after_close_raises_and_close_drains_accepted_work():
@@ -498,7 +530,7 @@ def test_scheduler_records_step_join_wait_and_batch_metrics():
     assert snapshot["sched_queue_wait_ms_p95"] >= \
         snapshot["sched_queue_wait_ms_p50"] >= 0
     assert snapshot["sched_starvation_total"] == 0
-    # The continuous path keeps the static batch dashboards populated.
+    # Same-config join groups keep the batch dashboards populated.
     assert snapshot["batches_total"] >= 2
     assert "greedy" in snapshot["batches_by_config"]
     assert any(label.startswith("beam2")
@@ -520,8 +552,7 @@ FAST = GenerationConfig(max_length=40)
 
 @pytest.fixture(scope="module")
 def continuous_service(tiny_model):
-    with InferenceService(tiny_model, max_batch_size=4, max_wait_ms=5,
-                          num_workers=2, cache_capacity=32,
+    with InferenceService(tiny_model, max_batch_size=4, cache_capacity=32,
                           generation=FAST) as svc:
         yield svc
 
@@ -533,7 +564,8 @@ def test_service_defaults_to_continuous_and_exposes_sched_gauges(
     for future in futures:
         future.result(timeout=120)
     snapshot = continuous_service.metrics()
-    assert snapshot["scheduler"] == "continuous"
+    assert snapshot["max_batch_size"] == 4
+    assert "scheduler" not in snapshot and "max_wait_ms" not in snapshot
     assert snapshot["sched_steps_total"] >= 1
     assert snapshot["sched_joins_total"] >= 3
     assert snapshot["sched_retires_total"] >= 3
@@ -542,22 +574,79 @@ def test_service_defaults_to_continuous_and_exposes_sched_gauges(
     assert snapshot["sched_starvation_total"] == 0
 
 
-def test_static_mode_is_available_and_bit_identical(tiny_model,
-                                                    small_dataset):
+def test_beam_wider_than_the_batch_equals_beam_search_decode(tiny_model,
+                                                            small_dataset):
+    """beam_size=16 (the API maximum) on a max_batch_size=8 service decodes
+    alone at 16 rows through the scheduler, bitwise the sequential beam."""
+    from repro.model.generation import beam_search_decode
+
     source = small_dataset.splits.test[4].source_code
-    with InferenceService(tiny_model, scheduler="static",
-                          generation=FAST) as static_svc:
-        assert static_svc.sched is None
-        static_served = static_svc.advise(source, timeout=120)
-        assert static_svc.metrics()["scheduler"] == "static"
-    with InferenceService(tiny_model, generation=FAST) as continuous_svc:
-        continuous_served = continuous_svc.advise(source, timeout=120)
-    assert continuous_served.session == static_served.session
+    strategy = BeamStrategy(beam_size=16, length_penalty=0.6)
+    with InferenceService(tiny_model, max_batch_size=8, cache_capacity=0,
+                          generation=FAST) as svc:
+        served = svc.advise_request(AdviseRequest(code=source,
+                                                  strategy=strategy),
+                                    timeout=300)
+        assert svc.metrics()["sched_occupancy_max"] == 16
+    vocab = tiny_model.encoder.vocab
+    ids = beam_search_decode(tiny_model.model,
+                             tiny_model.encode_source_ids(source),
+                             sos_id=vocab.sos_id, eos_id=vocab.eos_id,
+                             pad_id=vocab.pad_id, beam_size=16,
+                             max_length=FAST.max_length, length_penalty=0.6)
+    expected = tiny_model.package_prediction(source, ids)
+    assert served.generated_code == expected.generated_code
 
 
-def test_invalid_scheduler_mode_is_rejected(tiny_model):
-    with pytest.raises(ValueError, match="scheduler"):
-        InferenceService(tiny_model, scheduler="asap")
+def test_full_queue_answers_429_queue_full_everywhere(tiny_model,
+                                                     small_dataset,
+                                                     monkeypatch):
+    """A full admission queue is the contract's 429 ``queue_full`` (with
+    Retry-After) on /v1/advise, the item envelope in a batch job, and the
+    structured error chunk on a stream — never a silent second engine."""
+    import json
+    import urllib.error
+    import urllib.request
+
+    def full(work):
+        raise QueueFullError("scheduler queue is full (1)")
+
+    service = InferenceService(tiny_model, cache_capacity=0, generation=FAST)
+    monkeypatch.setattr(service.sched, "submit", full)
+    server = make_server(service, port=0, quiet=True)
+    host, port = server.server_address[:2]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = f"http://{host}:{port}"
+    source = small_dataset.splits.test[7].source_code
+    body = json.dumps({"code": source}).encode()
+    try:
+        request = urllib.request.Request(
+            f"{url}/v1/advise", data=body,
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=60)
+        assert caught.value.code == 429
+        assert caught.value.headers["Retry-After"] == "1"
+        assert json.loads(caught.value.read())["error"]["code"] == "queue_full"
+
+        job = service.submit_job([AdviseRequest(code=source)])
+        assert job.wait(timeout=60)
+        (item,) = job.to_dict()["results"]
+        assert item["status"] == "error"
+        assert item["error"]["code"] == "queue_full"
+
+        request = urllib.request.Request(
+            f"{url}/v1/advise/stream", data=body,
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=60) as response:
+            lines = [json.loads(line) for line in response.read().splitlines()]
+        assert lines[-1]["type"] == "error"
+        assert lines[-1]["error"]["code"] == "queue_full"
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
 
 
 def test_stream_rides_the_shared_continuous_batch(continuous_service,

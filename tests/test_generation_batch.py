@@ -1,4 +1,4 @@
-"""Batched greedy decoding must be exact-match equivalent to sequential.
+"""Greedy decoding in the continuous batch must equal sequential decoding.
 
 Two layers of evidence:
 
@@ -6,8 +6,8 @@ Two layers of evidence:
   row's own (un-padded) source, step and previous token — this lets the
   property test steer directly into the awkward corners (ragged lengths,
   empty sources, EOS at step 0, sequences that never finish); and
-* the **real tiny Transformer**, where equality additionally proves that
-  right-padding plus the encoder/cross-attention padding masks do not perturb
+* the **real tiny Transformer**, where equality additionally proves that the
+  ragged source matrix plus the per-row cross-attention masks do not perturb
   the argmax path.
 """
 
@@ -20,7 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model.generation import greedy_decode, greedy_decode_batch
+from repro.model.decoding import GreedyStrategy
+from repro.model.generation import greedy_decode
+
+from test_decoding_differential import continuous_decode, scheduled_predictions
 
 PAD, SOS, EOS = 0, 1, 2
 VOCAB = 17
@@ -30,9 +33,10 @@ class StubModel:
     """Deterministic per-row decoder obeying the Seq2SeqTransformer decode API.
 
     ``decode_step`` computes each row's next token from that row's real
-    (non-pad) source tokens, the step index and the previously fed token —
-    nothing else — so the per-example and batched paths must agree exactly if
-    the batching machinery is correct.
+    (non-pad) source tokens, its step index (per-row ``positions`` in the
+    continuous batch) and the previously fed token — nothing else — so the
+    per-example and batched paths must agree exactly if the batching
+    machinery is correct.
     """
 
     def __init__(self, vocab_size: int = VOCAB) -> None:
@@ -42,17 +46,22 @@ class StubModel:
         return source_ids  # decode_step reads src directly; no memory needed
 
     def start_decoding(self):
-        return SimpleNamespace(position=0)
+        return SimpleNamespace(position=0, self_caches=[], cross_caches=[])
 
     def decode_step(self, token_ids: np.ndarray, memory, source_ids: np.ndarray,
                     pad_id: int, state) -> np.ndarray:
         batch = source_ids.shape[0]
+        positions = getattr(state, "positions", None)
         logits = np.zeros((batch, self.vocab_size))
         for row in range(batch):
             real = [int(t) for t in source_ids[row] if int(t) != pad_id]
-            token = self._next_token(real, state.position, int(token_ids[row, 0]))
+            step = int(positions[row]) if positions is not None else state.position
+            token = self._next_token(real, step, int(token_ids[row, 0]))
             logits[row, token] = 1.0
-        state.position += 1
+        if positions is not None:
+            positions += 1
+        else:
+            state.position += 1
         return logits
 
     def _next_token(self, real_source: list[int], step: int, previous: int) -> int:
@@ -60,6 +69,14 @@ class StubModel:
             return EOS  # immediate-EOS corner: some rows finish on step one
         mix = len(real_source) * 13 + sum(real_source) * 7 + step * 5 + previous * 3
         return 3 + mix % (self.vocab_size - 3)  # never PAD/SOS/EOS mid-stream
+
+
+def greedy_batch(model, sources, *, max_length=400, pad_id=PAD, sos_id=SOS,
+                 eos_id=EOS):
+    """Every source as one greedy request of a uniform continuous batch."""
+    return continuous_decode(model, [(ids, GreedyStrategy()) for ids in sources],
+                             max_length=max_length, sos_id=sos_id,
+                             eos_id=eos_id, pad_id=pad_id)
 
 
 source_lists = st.lists(
@@ -74,8 +91,7 @@ def test_stub_batch_matches_sequential(sources, max_length):
     model = StubModel()
     expected = [greedy_decode(model, ids, sos_id=SOS, eos_id=EOS, pad_id=PAD,
                               max_length=max_length) for ids in sources]
-    batched = greedy_decode_batch(model, sources, sos_id=SOS, eos_id=EOS,
-                                  pad_id=PAD, max_length=max_length)
+    batched = greedy_batch(model, sources, max_length=max_length)
     assert batched == expected
 
 
@@ -89,8 +105,7 @@ def test_stub_corner_batch():
         [8, 9, 10, 11, 12, 13, 14, 15],
         [3, 4, 5, 6],
     ]
-    batched = greedy_decode_batch(model, sources, sos_id=SOS, eos_id=EOS,
-                                  pad_id=PAD, max_length=10)
+    batched = greedy_batch(model, sources, max_length=10)
     expected = [greedy_decode(model, ids, sos_id=SOS, eos_id=EOS, pad_id=PAD,
                               max_length=10) for ids in sources]
     assert batched == expected
@@ -101,9 +116,8 @@ def test_stub_corner_batch():
 
 def test_empty_batch_and_all_empty_sources():
     model = StubModel()
-    assert greedy_decode_batch(model, [], sos_id=SOS, eos_id=EOS, pad_id=PAD) == []
-    assert greedy_decode_batch(model, [[], []], sos_id=SOS, eos_id=EOS,
-                               pad_id=PAD) == [[], []]
+    assert greedy_batch(model, []) == []
+    assert greedy_batch(model, [[], []]) == [[], []]
     assert greedy_decode(model, [], sos_id=SOS, eos_id=EOS, pad_id=PAD) == []
 
 
@@ -132,18 +146,20 @@ def test_real_model_batch_matches_sequential(tiny_model, ragged_sources):
     expected = [greedy_decode(tiny_model.model, ids, sos_id=vocab.sos_id,
                               eos_id=vocab.eos_id, pad_id=vocab.pad_id,
                               max_length=60) for ids in encoded]
-    batched = greedy_decode_batch(tiny_model.model, encoded, sos_id=vocab.sos_id,
-                                  eos_id=vocab.eos_id, pad_id=vocab.pad_id,
-                                  max_length=60)
+    batched = greedy_batch(tiny_model.model, encoded, sos_id=vocab.sos_id,
+                           eos_id=vocab.eos_id, pad_id=vocab.pad_id,
+                           max_length=60)
     assert batched == expected
 
 
 def test_pipeline_batch_predictions_match(tiny_model, ragged_sources):
-    """predict_code_batch is per-example identical to predict_code."""
+    """Greedy requests through the scheduler are per-example identical to
+    ``predict_code``."""
     from repro.model.generation import GenerationConfig
 
     generation = GenerationConfig(max_length=60)
-    batched = tiny_model.predict_code_batch(ragged_sources, generation=generation)
+    batched = scheduled_predictions(tiny_model, ragged_sources,
+                                    GreedyStrategy(), max_length=60)
     for source, result in zip(ragged_sources, batched):
         single = tiny_model.predict_code(source, generation=generation)
         assert result.generated_tokens == single.generated_tokens

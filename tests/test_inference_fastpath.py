@@ -7,7 +7,9 @@ default.  Correctness is locked in two tiers:
 * **float64 fast path ≡ tape path, bitwise** — the fused kernels replicate
   the tape ops expression for expression, so under
   ``inference_mode(dtype=np.float64)`` every decode (greedy, beam,
-  sequential, batched) must produce *identical* token sequences — and
+  sequential, and the continuous batch every served request runs through)
+  must produce *identical* token sequences to the tape-mode sequential
+  decoders — and
   ``decode_step`` identical logits bit patterns — to ``tape_mode()``.
   Hypothesis drives random sources/beam settings over random-weight models;
   the real trained tiny model covers the production configuration.
@@ -36,13 +38,15 @@ from repro.model.autograd import (
     tape_mode,
 )
 from repro.model.config import ModelConfig
+from repro.model.decoding import BeamStrategy, GreedyStrategy
 from repro.model.generation import (
+    ContinuousDecoderLoop,
     beam_search_decode,
-    beam_search_decode_batch,
     greedy_decode,
-    greedy_decode_batch,
 )
 from repro.model.transformer import Seq2SeqTransformer
+
+from test_decoding_differential import continuous_decode
 
 PAD, SOS, EOS = 0, 1, 2
 VOCAB = 40
@@ -64,6 +68,25 @@ def models() -> dict[int, Seq2SeqTransformer]:
 DECODE = dict(sos_id=SOS, eos_id=EOS, pad_id=PAD)
 
 
+def continuous(model, sources, strategy, *, max_length, ids=DECODE):
+    """Every source as one request of a uniform continuous batch."""
+    return continuous_decode(model, [(source, strategy) for source in sources],
+                             max_length=max_length, **ids)
+
+
+def greedy_batch(model, sources, *, max_length, ids=DECODE):
+    return continuous(model, sources, GreedyStrategy(), max_length=max_length,
+                      ids=ids)
+
+
+def beam_batch(model, sources, *, beam_size, max_length, length_penalty,
+               ids=DECODE):
+    return continuous(model, sources,
+                      BeamStrategy(beam_size=beam_size,
+                                   length_penalty=length_penalty),
+                      max_length=max_length, ids=ids)
+
+
 @st.composite
 def source_batches(draw):
     return draw(st.lists(
@@ -83,13 +106,10 @@ def test_greedy_fp64_fast_path_matches_tape(models, sources, seed, max_length):
     with tape_mode():
         expected = [greedy_decode(model, s, **DECODE, max_length=max_length)
                     for s in sources]
-        expected_batch = greedy_decode_batch(model, sources, **DECODE,
-                                             max_length=max_length)
     with inference_mode(dtype=np.float64):
         assert [greedy_decode(model, s, **DECODE, max_length=max_length)
                 for s in sources] == expected
-        assert greedy_decode_batch(model, sources, **DECODE,
-                                   max_length=max_length) == expected_batch
+        assert greedy_batch(model, sources, max_length=max_length) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,14 +120,15 @@ def test_greedy_fp64_fast_path_matches_tape(models, sources, seed, max_length):
 def test_beam_fp64_fast_path_matches_tape(models, sources, seed, beam_size,
                                           max_length, length_penalty):
     model = models[seed]
-    kwargs = dict(DECODE, beam_size=beam_size, max_length=max_length,
+    kwargs = dict(beam_size=beam_size, max_length=max_length,
                   length_penalty=length_penalty)
     with tape_mode():
-        expected = [beam_search_decode(model, s, **kwargs) for s in sources]
-        expected_batch = beam_search_decode_batch(model, sources, **kwargs)
+        expected = [beam_search_decode(model, s, **DECODE, **kwargs)
+                    for s in sources]
     with inference_mode(dtype=np.float64):
-        assert [beam_search_decode(model, s, **kwargs) for s in sources] == expected
-        assert beam_search_decode_batch(model, sources, **kwargs) == expected_batch
+        assert [beam_search_decode(model, s, **DECODE, **kwargs)
+                for s in sources] == expected
+        assert beam_batch(model, sources, **kwargs) == expected
 
 
 def test_decode_step_logits_are_bitwise_identical(models):
@@ -142,11 +163,12 @@ def test_beam_reorder_exactness_through_kv_cache(models):
     fast path must still track the tape path exactly through many prunes."""
     model = models[1]
     sources = [[7, 8, 9, 10, 11], [12, 13], [14]]
-    kwargs = dict(DECODE, beam_size=4, max_length=12, length_penalty=0.6)
+    kwargs = dict(beam_size=4, max_length=12, length_penalty=0.6)
     with tape_mode():
-        expected = beam_search_decode_batch(model, sources, **kwargs)
+        expected = [beam_search_decode(model, s, **DECODE, **kwargs)
+                    for s in sources]
     with inference_mode(dtype=np.float64):
-        assert beam_search_decode_batch(model, sources, **kwargs) == expected
+        assert beam_batch(model, sources, **kwargs) == expected
 
 
 # -------------------------------------------------- fp32 argmax agreement
@@ -159,28 +181,27 @@ def test_greedy_fp32_agrees_on_argmax(models, sources, seed, max_length):
     """The default (float32) fast path selects the same token sequences."""
     model = models[seed]
     with tape_mode():
-        expected = greedy_decode_batch(model, sources, **DECODE,
-                                       max_length=max_length)
-    assert greedy_decode_batch(model, sources, **DECODE,
-                               max_length=max_length) == expected
+        expected = [greedy_decode(model, s, **DECODE, max_length=max_length)
+                    for s in sources]
+    assert greedy_batch(model, sources, max_length=max_length) == expected
 
 
 def test_beam_fp32_agrees_on_token_sequences(models):
     model = models[2]
     sources = [[3, 4, 5, 6], [7, 8], [], [9]]
-    kwargs = dict(DECODE, beam_size=3, max_length=10, length_penalty=0.6)
+    kwargs = dict(beam_size=3, max_length=10, length_penalty=0.6)
     with tape_mode():
-        expected = beam_search_decode_batch(model, sources, **kwargs)
-    assert beam_search_decode_batch(model, sources, **kwargs) == expected
+        expected = [beam_search_decode(model, s, **DECODE, **kwargs)
+                    for s in sources]
+    assert beam_batch(model, sources, **kwargs) == expected
 
 
 def test_fp32_is_the_default_inference_dtype(models):
     """Without a pinned mode, decoding runs float32 caches end to end."""
     model = models[0]
-    from repro.model.generation import DecoderLoop
-
-    loop = DecoderLoop(model, [[5, 6, 7]], pad_id=PAD)
-    assert loop.memory.data.dtype == np.float32
+    loop = ContinuousDecoderLoop(model, pad_id=PAD)
+    loop.join([5, 6, 7])
+    assert loop.state.cross_caches[0].keys.dtype == np.float32
     loop.step(np.full((1, 1), SOS, dtype=np.int64))
     assert loop.state.self_caches[0].keys.dtype == np.float32
     assert loop.state.cross_caches[0].keys.dtype == np.float32
@@ -194,17 +215,16 @@ def test_real_model_fp64_fast_path_exact(tiny_model, pi_source):
     encoded = [tiny_model.encoder.encode_source(pi_source)]
     kwargs = dict(sos_id=vocab.sos_id, eos_id=vocab.eos_id, pad_id=vocab.pad_id)
     with tape_mode():
-        greedy_ref = greedy_decode_batch(tiny_model.model, encoded, **kwargs,
-                                         max_length=40)
-        beam_ref = beam_search_decode_batch(tiny_model.model, encoded, **kwargs,
-                                            beam_size=3, max_length=30,
-                                            length_penalty=0.6)
+        greedy_ref = [greedy_decode(tiny_model.model, ids, **kwargs,
+                                    max_length=40) for ids in encoded]
+        beam_ref = [beam_search_decode(tiny_model.model, ids, **kwargs,
+                                       beam_size=3, max_length=30,
+                                       length_penalty=0.6) for ids in encoded]
     with inference_mode(dtype=np.float64):
-        assert greedy_decode_batch(tiny_model.model, encoded, **kwargs,
-                                   max_length=40) == greedy_ref
-        assert beam_search_decode_batch(tiny_model.model, encoded, **kwargs,
-                                        beam_size=3, max_length=30,
-                                        length_penalty=0.6) == beam_ref
+        assert greedy_batch(tiny_model.model, encoded, ids=kwargs,
+                            max_length=40) == greedy_ref
+        assert beam_batch(tiny_model.model, encoded, ids=kwargs, beam_size=3,
+                          max_length=30, length_penalty=0.6) == beam_ref
 
 
 def test_real_model_fp32_agrees_on_argmax(tiny_model, pi_source):
@@ -212,16 +232,15 @@ def test_real_model_fp32_agrees_on_argmax(tiny_model, pi_source):
     encoded = [tiny_model.encoder.encode_source(pi_source)]
     kwargs = dict(sos_id=vocab.sos_id, eos_id=vocab.eos_id, pad_id=vocab.pad_id)
     with tape_mode():
-        greedy_ref = greedy_decode_batch(tiny_model.model, encoded, **kwargs,
-                                         max_length=40)
-        beam_ref = beam_search_decode_batch(tiny_model.model, encoded, **kwargs,
-                                            beam_size=3, max_length=30,
-                                            length_penalty=0.6)
-    assert greedy_decode_batch(tiny_model.model, encoded, **kwargs,
-                               max_length=40) == greedy_ref
-    assert beam_search_decode_batch(tiny_model.model, encoded, **kwargs,
-                                    beam_size=3, max_length=30,
-                                    length_penalty=0.6) == beam_ref
+        greedy_ref = [greedy_decode(tiny_model.model, ids, **kwargs,
+                                    max_length=40) for ids in encoded]
+        beam_ref = [beam_search_decode(tiny_model.model, ids, **kwargs,
+                                       beam_size=3, max_length=30,
+                                       length_penalty=0.6) for ids in encoded]
+    assert greedy_batch(tiny_model.model, encoded, ids=kwargs,
+                        max_length=40) == greedy_ref
+    assert beam_batch(tiny_model.model, encoded, ids=kwargs, beam_size=3,
+                      max_length=30, length_penalty=0.6) == beam_ref
 
 
 # ------------------------------------------------------- mode/dtype plumbing
@@ -359,10 +378,16 @@ def test_stub_models_keep_working_under_the_default_mode():
         def decode_step(self, token_ids, memory, source_ids, pad_id, state):
             fed = token_ids[:, None, :, None].astype(np.float64)
             state.self_caches[0].append(fed, fed)
-            state.position += 1
+            positions = getattr(state, "positions", None)
+            if positions is None:
+                state.position += 1
+                positions = np.full(source_ids.shape[0], state.position)
+            else:
+                positions += 1
             logits = np.zeros((source_ids.shape[0], 6))
-            logits[:, 3 + state.position % 2] = 1.0
+            logits[np.arange(source_ids.shape[0]), 3 + positions % 2] = 1.0
             return logits
 
-    out = greedy_decode_batch(Stub(), [[3, 4], [5]], **DECODE, max_length=4)
+    assert greedy_decode(Stub(), [3, 4], **DECODE, max_length=4) == [4, 3, 4, 3]
+    out = greedy_batch(Stub(), [[3, 4], [5]], max_length=4)
     assert out == [[4, 3, 4, 3], [4, 3, 4, 3]]

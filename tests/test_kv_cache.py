@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 from repro.model.attention import KVCache
-from repro.model.generation import DecoderLoop
+from repro.model.decoding import BeamRowState, GreedyStrategy
+from repro.model.generation import ContinuousDecoderLoop
+from repro.serving.sched import InflightBatch
 
 PAD, SOS, EOS = 0, 1, 2
 
@@ -210,36 +212,54 @@ class _CountingModel:
     def decode_step(self, token_ids, memory, source_ids, pad_id, state):
         fed = token_ids[:, None, :, None].astype(np.float64)
         state.self_caches[0].append(fed, fed)
-        state.position += 1
+        state.positions += 1
         logits = np.zeros((source_ids.shape[0], self.vocab_size))
         logits[:, 3] = 1.0  # never EOS: exercises max_length truncation
         return logits
 
 
-def test_loop_cache_length_tracks_steps_until_max_length():
-    from repro.model.generation import greedy_decode_batch
+class _Work:
+    future = None
 
-    model = _CountingModel()
-    loop = DecoderLoop(model, [[3, 4], [5]], pad_id=PAD)
+
+def _joined_loop(rows_per_source: int = 1) -> ContinuousDecoderLoop:
+    loop = ContinuousDecoderLoop(_CountingModel(), pad_id=PAD)
+    loop.join([3, 4], rows=rows_per_source)
+    loop.join([5], rows=rows_per_source)
+    return loop
+
+
+def test_loop_cache_length_tracks_steps_until_max_length():
+    loop = _joined_loop()
     current = np.full((loop.num_rows, 1), SOS, dtype=np.int64)
     for step in range(6):
         loop.step(current)
         assert loop.state.self_caches[0].length == step + 1
     # End-to-end: max_length bounds both the output and the cache history.
-    out = greedy_decode_batch(_CountingModel(), [[3, 4], [5]], sos_id=SOS,
-                              eos_id=EOS, pad_id=PAD, max_length=4)
-    assert out == [[3, 3, 3, 3], [3, 3, 3, 3]]
+    batch = InflightBatch(_CountingModel(), sos_id=SOS, eos_id=EOS, pad_id=PAD)
+    states = [GreedyStrategy().row_state(sos_id=SOS, eos_id=EOS, max_length=4)
+              for _ in range(2)]
+    batch.add(_Work(), states[0], [3, 4])
+    batch.add(_Work(), states[1], [5])
+    lengths = []
+    while batch.num_rows:
+        batch.step()
+        lengths.append(batch.loop.state.self_caches[0].length)
+    assert [state.result() for state in states] == [[3, 3, 3, 3], [3, 3, 3, 3]]
+    assert lengths == [1, 2, 3, 0]  # both rows retire at max_length together
 
 
 def test_loop_with_only_empty_sources_allocates_no_cache_rows():
-    loop = DecoderLoop(_CountingModel(), [[], []], pad_id=PAD)
+    loop = ContinuousDecoderLoop(_CountingModel(), pad_id=PAD)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="empty source"):
+            loop.join([])
     assert loop.num_rows == 0
-    assert loop.state is None
+    assert loop.state.self_caches[0].rows == 0
 
 
 def test_loop_reorder_preserves_cache_length():
-    model = _CountingModel()
-    loop = DecoderLoop(model, [[3, 4], [5]], pad_id=PAD, rows_per_source=2)
+    loop = _joined_loop(rows_per_source=2)
     current = np.full((loop.num_rows, 1), SOS, dtype=np.int64)
     loop.step(current)
     loop.step(current)
@@ -247,10 +267,21 @@ def test_loop_reorder_preserves_cache_length():
     assert loop.state.self_caches[0].length == 2
 
 
+class _EscapingBeam(BeamRowState):
+    """A beam state machine that names a parent outside its own row block."""
+
+    def advance(self, logits):
+        feed, parents = super().advance(logits)
+        return feed, [self.rows] * self.rows
+
+
 def test_loop_reorder_rejects_cross_source_parents():
-    loop = DecoderLoop(_CountingModel(), [[3, 4], [5]], pad_id=PAD, rows_per_source=2)
-    with pytest.raises(ValueError, match="within each source"):
-        loop.reorder_rows(np.asarray([0, 2, 2, 3]))
+    batch = InflightBatch(_CountingModel(), sos_id=SOS, eos_id=EOS, pad_id=PAD)
+    batch.add(_Work(), _EscapingBeam(beam_size=2, length_penalty=0.6,
+                                     sos_id=SOS, eos_id=EOS), [3, 4])
+    batch.add(_Work(), GreedyStrategy().row_state(sos_id=SOS, eos_id=EOS), [5])
+    with pytest.raises(RuntimeError, match="escaped the row block"):
+        batch.step()
 
 # -------------------------------------------------- insert_rows / retire_rows
 

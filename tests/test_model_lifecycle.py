@@ -48,8 +48,8 @@ def test_hot_swap_serves_every_request_and_never_a_stale_cache_entry(
 
     registry = ModelRegistry(v1, name="advisor-v1")
     registry.register("advisor-v2", v2)
-    with InferenceService(registry, max_batch_size=4, max_wait_ms=2,
-                          num_workers=2, cache_capacity=256,
+    with InferenceService(registry, max_batch_size=4,
+                          cache_capacity=256,
                           generation=GenerationConfig(max_length=48)) as service:
         # Warm the cache on v1.  Requests reference the *alias*, so the swap
         # below re-routes them; the response echoes the resolved identity.

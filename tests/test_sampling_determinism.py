@@ -1,16 +1,18 @@
 """Seeded-sampling determinism differentials.
 
-The ISSUE-4 contract for :class:`SampleStrategy`: a seed fully determines
-the generation.  Evidence, mirroring the greedy/beam differential harness:
+The contract for :class:`SampleStrategy`: a seed fully determines the
+generation.  Evidence, mirroring the greedy/beam differential harness:
 
-* **sequential ≡ batched** — per-row RNG streams depend only on the seed
-  (never on batch composition), so ``sample_decode_batch`` is exact-match
+* **sequential ≡ continuous** — per-row RNG streams depend only on the seed
+  (never on batch composition), so a sampling request in the continuous
+  batch (:class:`repro.serving.sched.InflightBatch`) is exact-match
   identical to per-source ``sample_decode`` (property-tested on the
   history-dependent KV-cache stub, then on the real tiny Transformer);
 * **tape ≡ inference fast path** — at float64 the no-tape kernels are
   bitwise identical to the tape path, and token selection runs in float64
-  off the logits, so the same seed yields the same tokens under
-  ``tape_mode()`` and ``inference_mode(dtype=np.float64)``;
+  off the logits, so the same seed yields the same tokens from the tape
+  sequential sampler and from the continuous batch under
+  ``inference_mode(dtype=np.float64)``;
 * **different seeds diverge** — the seed is live, not decorative.
 """
 
@@ -22,22 +24,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.autograd import inference_mode, tape_mode
-from repro.model.decoding import (
-    SampleStrategy,
-    sample_decode,
-    sample_decode_batch,
-)
-from repro.model.generation import greedy_decode_batch
+from repro.model.decoding import GreedyStrategy, SampleStrategy, sample_decode
 
 from test_decoding_differential import (
     DECODE,
-    EOS,
     HistoryStubModel,
-    PAD,
-    SOS,
     VOCAB,
+    continuous_decode,
     ragged_batches,
 )
+
+
+def sample_batch(model, sources, *, max_length, on_tokens=None, ids=DECODE,
+                 **params):
+    """Every source as one sampling request of a uniform continuous batch."""
+    strategy = SampleStrategy(**params)
+    return continuous_decode(model, [(source, strategy) for source in sources],
+                             max_length=max_length, on_tokens=on_tokens, **ids)
+
 
 sampling_params = st.fixed_dictionaries({
     "temperature": st.sampled_from([0.5, 1.0, 1.7]),
@@ -53,8 +57,7 @@ sampling_params = st.fixed_dictionaries({
 @settings(max_examples=60, deadline=None)
 @given(sources=ragged_batches(), params=sampling_params)
 def test_batched_sampling_equals_sequential_on_stub(sources, params):
-    batched = sample_decode_batch(HistoryStubModel(), sources, **DECODE,
-                                  max_length=10, **params)
+    batched = sample_batch(HistoryStubModel(), sources, max_length=10, **params)
     sequential = [sample_decode(HistoryStubModel(), source, **DECODE,
                                 max_length=10, **params)
                   for source in sources]
@@ -66,20 +69,20 @@ def test_batched_sampling_equals_sequential_on_stub(sources, params):
 def test_top_k_one_is_greedy(sources, seed):
     """top_k=1 collapses sampling onto the argmax path (ties included:
     both rank by ascending token id)."""
-    sampled = sample_decode_batch(HistoryStubModel(), sources, **DECODE,
-                                  max_length=10, top_k=1, seed=seed)
-    greedy = greedy_decode_batch(HistoryStubModel(), sources, **DECODE,
-                                 max_length=10)
+    sampled = sample_batch(HistoryStubModel(), sources, max_length=10, top_k=1,
+                           seed=seed)
+    greedy = continuous_decode(HistoryStubModel(),
+                               [(source, GreedyStrategy()) for source in sources],
+                               max_length=10)
     assert sampled == greedy
 
 
 def test_same_seed_reproduces_and_different_seeds_diverge():
     sources = [[3, 4, 5, 6], [7, 8, 9], [10, 11, 3, 4, 5]]
-    kwargs = dict(**DECODE, max_length=16)
     model = lambda: HistoryStubModel(never_eos=True)  # noqa: E731
-    first = sample_decode_batch(model(), sources, **kwargs, seed=123)
-    again = sample_decode_batch(model(), sources, **kwargs, seed=123)
-    other = sample_decode_batch(model(), sources, **kwargs, seed=124)
+    first = sample_batch(model(), sources, max_length=16, seed=123)
+    again = sample_batch(model(), sources, max_length=16, seed=123)
+    other = sample_batch(model(), sources, max_length=16, seed=124)
     assert first == again
     assert first != other
 
@@ -91,13 +94,11 @@ def test_on_token_streams_exactly_the_emitted_tokens():
                         max_length=8, seed=5, on_token=streamed.append)
     assert streamed == out and len(out) == 8
 
-    batch_streamed: list[tuple[int, int]] = []
-    outs = sample_decode_batch(
-        HistoryStubModel(never_eos=True), [source, [7, 8]], **DECODE,
-        max_length=4, seed=5,
-        on_token=lambda index, token: batch_streamed.append((index, token)))
-    for index, ids in enumerate(outs):
-        assert [t for i, t in batch_streamed if i == index] == ids
+    batch_streamed: list[list[int]] = [[], []]
+    outs = sample_batch(HistoryStubModel(never_eos=True), [source, [7, 8]],
+                        max_length=4, seed=5,
+                        on_tokens=[stream.append for stream in batch_streamed])
+    assert batch_streamed == outs
 
 
 # ------------------------------------------------------- real-model evidence
@@ -116,7 +117,7 @@ def sample_setup(tiny_model, small_dataset):
 def test_real_model_batched_sampling_equals_sequential(sample_setup):
     model, encoded, ids = sample_setup
     params = dict(temperature=0.8, top_k=8, seed=42, max_length=24)
-    batched = sample_decode_batch(model, encoded, **ids, **params)
+    batched = sample_batch(model, encoded, ids=ids, **params)
     sequential = [sample_decode(model, source, **ids, **params)
                   for source in encoded]
     assert batched == sequential
@@ -124,32 +125,38 @@ def test_real_model_batched_sampling_equals_sequential(sample_setup):
 
 
 def test_real_model_same_seed_bitwise_across_tape_and_inference(sample_setup):
-    """tape_mode vs inference_mode(float64): bitwise-equal logits feed a
-    float64 sampler with the same RNG stream, so the tokens are identical."""
+    """Sequential tape_mode vs the continuous batch under
+    inference_mode(float64): bitwise-equal logits feed a float64 sampler
+    with the same RNG stream, so the tokens are identical."""
     model, encoded, ids = sample_setup
     params = dict(temperature=1.3, top_p=0.95, seed=7, max_length=16)
     with tape_mode():
-        reference = sample_decode_batch(model, encoded, **ids, **params)
+        reference = [sample_decode(model, source, **ids, **params)
+                     for source in encoded]
     with inference_mode(dtype=np.float64):
-        fast = sample_decode_batch(model, encoded, **ids, **params)
+        fast = sample_batch(model, encoded, ids=ids, **params)
     assert fast == reference
     # Default (float32) inference runs the same seed deterministically too.
-    assert sample_decode_batch(model, encoded, **ids, **params) == \
-        sample_decode_batch(model, encoded, **ids, **params)
+    assert sample_batch(model, encoded, ids=ids, **params) == \
+        sample_batch(model, encoded, ids=ids, **params)
 
 
 def test_real_model_different_seeds_diverge(sample_setup):
     model, encoded, ids = sample_setup
-    outs = {seed: sample_decode_batch(model, encoded, **ids, temperature=1.5,
-                                      seed=seed, max_length=24)
+    outs = {seed: sample_batch(model, encoded, ids=ids, temperature=1.5,
+                               seed=seed, max_length=24)
             for seed in range(4)}
     assert len({tuple(map(tuple, out)) for out in outs.values()}) > 1
 
 
-def test_strategy_decode_batch_matches_functions(sample_setup):
-    """SampleStrategy is a faithful wrapper over the sampling decoders."""
+def test_strategy_row_state_matches_functions(sample_setup):
+    """SampleStrategy is a faithful wrapper over the sampling decoder, both
+    through ``decode`` and through its continuous-batch row state."""
     model, encoded, ids = sample_setup
     strategy = SampleStrategy(temperature=0.8, top_k=8, seed=42)
-    assert strategy.decode_batch(model, encoded, **ids, max_length=24) == \
-        sample_decode_batch(model, encoded, **ids, temperature=0.8, top_k=8,
-                            seed=42, max_length=24)
+    reference = [sample_decode(model, source, **ids, temperature=0.8, top_k=8,
+                               seed=42, max_length=24) for source in encoded]
+    assert [strategy.decode(model, source, **ids, max_length=24)
+            for source in encoded] == reference
+    assert sample_batch(model, encoded, ids=ids, temperature=0.8, top_k=8,
+                        seed=42, max_length=24) == reference

@@ -16,8 +16,8 @@ from repro.serving.server import make_server
 
 @pytest.fixture(scope="module")
 def endpoint(tiny_model):
-    service = InferenceService(tiny_model, max_batch_size=4, max_wait_ms=5,
-                               num_workers=2, cache_capacity=64,
+    service = InferenceService(tiny_model, max_batch_size=4,
+                               cache_capacity=64,
                                generation=GenerationConfig(max_length=60))
     server = make_server(service, port=0, quiet=True)
     host, port = server.server_address[:2]
@@ -488,7 +488,7 @@ def backpressure_endpoint(tiny_model):
 
     from repro.serving import JobPolicy, JobStore
 
-    service = InferenceService(tiny_model, max_batch_size=4, max_wait_ms=5,
+    service = InferenceService(tiny_model, max_batch_size=4,
                                cache_capacity=16,
                                generation=GenerationConfig(max_length=60))
     gate = threading.Event()
@@ -591,7 +591,7 @@ def test_http_expired_vs_unknown_job(tiny_model, pi_source):
 
     from repro.serving import JobPolicy
 
-    service = InferenceService(tiny_model, max_batch_size=4, max_wait_ms=5,
+    service = InferenceService(tiny_model, max_batch_size=4,
                                cache_capacity=16,
                                generation=GenerationConfig(max_length=60),
                                job_policy=JobPolicy(ttl_seconds=0.05))
@@ -708,7 +708,7 @@ def test_drain_mode_stops_new_work_and_reports_pending(tiny_model, pi_source):
     """POST /admin/drain flips the worker into drain mode: /healthz answers
     503 with the pending count, new advise/stream/batch work gets a 503
     unavailable with Retry-After, and /metrics stays observable."""
-    service = InferenceService(tiny_model, max_batch_size=4, max_wait_ms=5,
+    service = InferenceService(tiny_model, max_batch_size=4,
                                cache_capacity=16,
                                generation=GenerationConfig(max_length=60))
     server = make_server(service, port=0, quiet=True)
@@ -760,7 +760,7 @@ def test_probes_race_wal_replay_and_store_close_without_blocking(
     WAL, while the store closes, and while the worker drains."""
     import time
 
-    service = InferenceService(tiny_model, max_batch_size=4, max_wait_ms=5,
+    service = InferenceService(tiny_model, max_batch_size=4,
                                cache_capacity=16,
                                generation=GenerationConfig(max_length=60),
                                registry_root=str(tmp_path / "root"))

@@ -15,8 +15,8 @@ FAST = GenerationConfig(max_length=60)
 
 @pytest.fixture(scope="module")
 def service(tiny_model):
-    with InferenceService(tiny_model, max_batch_size=4, max_wait_ms=5,
-                          num_workers=2, cache_capacity=64,
+    with InferenceService(tiny_model, max_batch_size=4,
+                          cache_capacity=64,
                           generation=FAST) as svc:
         yield svc
 
@@ -229,7 +229,7 @@ def test_abandoned_stream_still_populates_the_cache(service):
 
 
 def test_cache_disabled_service_always_decodes(tiny_model, pi_source):
-    with InferenceService(tiny_model, max_batch_size=2, max_wait_ms=2,
+    with InferenceService(tiny_model, max_batch_size=2,
                           cache_capacity=0, generation=FAST) as svc:
         assert svc.cache is None
         first = svc.advise(pi_source, timeout=120)

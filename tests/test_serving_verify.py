@@ -37,7 +37,7 @@ UNPARSEABLE = "int main(int argc, char **argv) {\n    int x = 1\n    return x;\n
 
 @pytest.fixture(scope="module")
 def service(tiny_model):
-    with InferenceService(tiny_model, max_batch_size=4, max_wait_ms=5,
+    with InferenceService(tiny_model, max_batch_size=4,
                           cache_capacity=64, generation=FAST) as svc:
         yield svc
 
