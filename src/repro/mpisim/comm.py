@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import queue
 import threading
+import time
 from dataclasses import dataclass, field
 
 from .datatypes import MPIOp
@@ -31,11 +32,20 @@ class SimulationDeadlock(RuntimeError):
     """Raised when a blocking MPI operation times out (deadlock in the program)."""
 
 
+def _wait_seconds(timeout: float, deadline: float | None) -> float:
+    """How long one blocking call may wait: ``timeout``, cut at the run's
+    ``deadline`` (a :func:`time.monotonic` instant) when there is one."""
+    if deadline is None:
+        return timeout
+    return max(0.0, min(timeout, deadline - time.monotonic()))
+
+
 @dataclass
 class MessageBox:
     """Point-to-point mailboxes keyed by (source, dest, tag)."""
 
     timeout: float = DEFAULT_TIMEOUT
+    deadline: float | None = None
     _queues: dict[tuple[int, int, int], "queue.Queue"] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -51,7 +61,8 @@ class MessageBox:
 
     def recv(self, source: int, dest: int, tag: int) -> list:
         try:
-            return self._queue_for(source, dest, tag).get(timeout=self.timeout)
+            return self._queue_for(source, dest, tag).get(
+                timeout=_wait_seconds(self.timeout, self.deadline))
         except queue.Empty as exc:
             raise SimulationDeadlock(
                 f"rank {dest} timed out waiting for a message from rank {source} "
@@ -68,15 +79,17 @@ class CollectiveExchange:
     from overwriting slots that are still being read.
     """
 
-    def __init__(self, size: int, timeout: float = DEFAULT_TIMEOUT) -> None:
+    def __init__(self, size: int, timeout: float = DEFAULT_TIMEOUT,
+                 deadline: float | None = None) -> None:
         self.size = size
         self.timeout = timeout
+        self.deadline = deadline
         self._slots: list = [None] * size
         self._barrier = threading.Barrier(size)
 
     def _wait(self, rank: int | None = None, label: str | None = None) -> None:
         try:
-            self._barrier.wait(timeout=self.timeout)
+            self._barrier.wait(timeout=_wait_seconds(self.timeout, self.deadline))
         except threading.BrokenBarrierError as exc:
             who = f"rank {rank}" if rank is not None else "a rank"
             call = label or "a collective operation"
@@ -224,10 +237,12 @@ class SimCommunicator:
 class SplitRegistry:
     """Shared registry so every rank of a split obtains the *same* child group."""
 
-    def __init__(self, timeout: float = DEFAULT_TIMEOUT) -> None:
+    def __init__(self, timeout: float = DEFAULT_TIMEOUT,
+                 deadline: float | None = None) -> None:
         self._lock = threading.Lock()
         self._groups: dict[tuple[int, ...], CommGroup] = {}
         self.timeout = timeout
+        self.deadline = deadline
 
     def group_for(self, member_world_ranks: tuple[int, ...], _parent_size: int) -> CommGroup:
         with self._lock:
@@ -235,8 +250,10 @@ class SplitRegistry:
                 size = len(member_world_ranks)
                 self._groups[member_world_ranks] = CommGroup(
                     size=size,
-                    message_box=MessageBox(timeout=self.timeout),
-                    collective=CollectiveExchange(size, timeout=self.timeout),
+                    message_box=MessageBox(timeout=self.timeout,
+                                           deadline=self.deadline),
+                    collective=CollectiveExchange(size, timeout=self.timeout,
+                                                  deadline=self.deadline),
                     world_ranks=list(member_world_ranks),
                 )
             return self._groups[member_world_ranks]
@@ -251,12 +268,16 @@ def _elementwise_reduce(contributions: list[list], op: MPIOp) -> list:
     return result
 
 
-def make_world(size: int, timeout: float = DEFAULT_TIMEOUT) -> list[SimCommunicator]:
-    """Create MPI_COMM_WORLD handles for ``size`` ranks."""
+def make_world(size: int, timeout: float = DEFAULT_TIMEOUT,
+               deadline: float | None = None) -> list[SimCommunicator]:
+    """Create MPI_COMM_WORLD handles for ``size`` ranks.
+
+    ``deadline`` (a :func:`time.monotonic` instant) ends every blocking
+    wait of the world, however late the call started."""
     group = CommGroup(
         size=size,
-        message_box=MessageBox(timeout=timeout),
-        collective=CollectiveExchange(size, timeout=timeout),
+        message_box=MessageBox(timeout=timeout, deadline=deadline),
+        collective=CollectiveExchange(size, timeout=timeout, deadline=deadline),
         world_ranks=list(range(size)),
     )
     return [SimCommunicator(group, rank) for rank in range(size)]

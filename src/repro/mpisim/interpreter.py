@@ -15,6 +15,7 @@ standard functions (printf, malloc/free, math, rand) plus the MPI bindings in
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -46,6 +47,14 @@ class _AbortSignal(Exception):
         self.code = code
 
 
+class RankStopped(BaseException):
+    """Unwinds a rank whose run was stopped at its deadline.
+
+    A ``BaseException``, so no ``except Exception`` on the way up swallows
+    it; :class:`repro.mpisim.runtime.MPIRuntime` catches it per rank.
+    """
+
+
 @dataclass
 class RankContext:
     """Per-rank execution context shared with the MPI bindings."""
@@ -65,6 +74,10 @@ class RankContext:
     #: :class:`repro.mpisim.comm.SimulationDeadlock` — the runtime reads it to
     #: report which ranks were blocked in which call.
     blocked_in: str | None = None
+    #: Set by the runtime at the run's deadline; the interpreter checks it on
+    #: every loop back-edge and user-function call and raises
+    #: :class:`RankStopped`.
+    stop: threading.Event = field(default_factory=threading.Event)
 
     def srand(self, seed: int) -> None:
         self.rand_state = (int(seed) & 0x7FFFFFFF) or 1
@@ -408,6 +421,7 @@ class CInterpreter:
     def __init__(self, unit: ast.TranslationUnit, context: RankContext) -> None:
         self.unit = unit
         self.context = context
+        self._stop = context.stop
         self.bindings = MPIBindings(context)
         self.globals = Scope()
         self.functions: dict[str, ast.FunctionDef] = {}
@@ -475,6 +489,8 @@ class CInterpreter:
                 self._exec_statement(node.otherwise, scope)
         elif isinstance(node, ast.While):
             while self._truthy(self._eval(node.cond, scope)):
+                if self._stop.is_set():
+                    raise RankStopped()
                 try:
                     self._exec_statement(node.body, scope)
                 except _BreakSignal:
@@ -483,6 +499,8 @@ class CInterpreter:
                     continue
         elif isinstance(node, ast.DoWhile):
             while True:
+                if self._stop.is_set():
+                    raise RankStopped()
                 try:
                     self._exec_statement(node.body, scope)
                 except _BreakSignal:
@@ -523,6 +541,8 @@ class CInterpreter:
         while True:
             if node.cond is not None and not self._truthy(self._eval(node.cond, loop_scope)):
                 break
+            if self._stop.is_set():
+                raise RankStopped()
             try:
                 self._exec_statement(node.body, loop_scope)
             except _BreakSignal:
@@ -866,6 +886,8 @@ class CInterpreter:
 
     def _call_user_function(self, function: ast.FunctionDef, args: list[ast.Node],
                             scope: Scope) -> Any:
+        if self._stop.is_set():
+            raise RankStopped()
         call_scope = self.globals.child()
         for param, arg in zip(function.params, args):
             value = self._eval(arg, scope)

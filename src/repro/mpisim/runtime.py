@@ -3,7 +3,13 @@
 Each rank parses the same source, gets its own interpreter and communicator
 handle, and runs in its own thread.  The runner collects per-rank exit codes,
 stdout and exceptions, and reports deadlocks (blocking operations that never
-complete within the timeout).
+complete within the timeout) and runaway ranks (computation that never ends).
+
+A run has one deadline, ``timeout`` seconds after it starts; there is no
+grace period after it.  Every blocking MPI wait ends there, and at the
+deadline the runtime sets the run's stop flag: each still-computing rank
+unwinds at its next loop back-edge or user-function call, so rank threads
+end with :meth:`MPIRuntime.run_source`.
 """
 
 from __future__ import annotations
@@ -14,7 +20,12 @@ from dataclasses import dataclass, field
 
 from ..clang.parser import parse_source
 from .comm import DEFAULT_TIMEOUT, SplitRegistry, make_world
-from .interpreter import CInterpreter, RankContext
+from .interpreter import CInterpreter, RankContext, RankStopped
+
+#: Seconds the runtime waits, after setting the stop flag, for ranks to
+#: unwind.  A rank checks the flag between statements, so this only has to
+#: cover one statement and a thread switch.
+STOP_JOIN_TIMEOUT = 0.1
 
 
 @dataclass
@@ -65,9 +76,17 @@ class MPIRuntime:
         self.timeout = timeout
 
     def run_source(self, source: str, argv: list[str] | None = None) -> RunResult:
-        """Parse ``source`` once per rank and execute all ranks concurrently."""
-        communicators = make_world(self.num_ranks, timeout=self.timeout)
-        split_registry = SplitRegistry(timeout=self.timeout)
+        """Parse ``source`` once per rank and execute all ranks concurrently.
+
+        Returns within ``timeout`` plus :data:`STOP_JOIN_TIMEOUT`: ranks
+        still running at the deadline are stopped cooperatively and reported
+        as deadlocked (blocked in an MPI call) or runaway (computing).
+        """
+        stop = threading.Event()
+        deadline = time.monotonic() + self.timeout
+        communicators = make_world(self.num_ranks, timeout=self.timeout,
+                                   deadline=deadline)
+        split_registry = SplitRegistry(timeout=self.timeout, deadline=deadline)
         result = RunResult(num_ranks=self.num_ranks,
                            ranks=[RankResult(rank=r) for r in range(self.num_ranks)])
         contexts: list[RankContext | None] = [None] * self.num_ranks
@@ -77,11 +96,14 @@ class MPIRuntime:
             try:
                 unit = parse_source(source, tolerant=False)
                 context = RankContext(rank=rank, comm_world=communicators[rank],
-                                      split_registry=split_registry)
+                                      split_registry=split_registry, stop=stop)
                 contexts[rank] = context
                 interpreter = CInterpreter(unit, context)
                 rank_result.exit_code = interpreter.run_main(argv)
                 rank_result.stdout = interpreter.stdout
+            except RankStopped:
+                rank_result.error = self._unfinished(rank, None)
+                rank_result.stdout = "".join(contexts[rank].stdout)
             except Exception as exc:  # noqa: BLE001 - reported to the caller
                 rank_result.error = f"{type(exc).__name__}: {exc}"
                 context = contexts[rank]
@@ -96,32 +118,28 @@ class MPIRuntime:
                    for rank in range(self.num_ranks)]
         for thread in threads:
             thread.start()
-        # One shared deadline for the whole world: the ranks run concurrently,
-        # so the grace window is paid once, not once per stuck thread.
-        deadline = time.monotonic() + self.timeout + 5.0
         for thread in threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        stop.set()
+        stop_deadline = time.monotonic() + STOP_JOIN_TIMEOUT
+        for thread in threads:
+            thread.join(timeout=max(0.0, stop_deadline - time.monotonic()))
         for rank, thread in enumerate(threads):
-            if not thread.is_alive():
-                continue
-            # Only genuinely unfinished ranks are marked (a rank that
-            # completed without printing anything is *not* a deadlock).
-            rank_result = result.ranks[rank]
-            if rank_result.error is not None:
-                continue
-            context = contexts[rank]
-            where = context.blocked_in if context is not None else None
-            rank_result.blocked_in = where
-            if where is not None:
-                rank_result.error = (
-                    f"deadlock: rank {rank} did not finish within "
-                    f"{self.timeout:g}s (blocked in {where})")
-            else:
-                rank_result.error = (
-                    f"deadlock: rank {rank} did not finish within "
-                    f"{self.timeout:g}s (no blocking MPI call in progress — "
-                    f"runaway computation?)")
+            # A rank that did not even unwind (one statement outlasting the
+            # stop window) is abandoned as a daemon thread.
+            if thread.is_alive() and result.ranks[rank].error is None:
+                context = contexts[rank]
+                where = context.blocked_in if context is not None else None
+                result.ranks[rank].blocked_in = where
+                result.ranks[rank].error = self._unfinished(rank, where)
         return result
+
+    def _unfinished(self, rank: int, where: str | None) -> str:
+        """The error of a rank that did not finish within the timeout."""
+        state = (f"blocked in {where}" if where is not None else
+                 "no blocking MPI call in progress — runaway computation?")
+        return (f"deadlock: rank {rank} did not finish within "
+                f"{self.timeout:g}s ({state})")
 
 
 def run_program(source: str, num_ranks: int = 4,

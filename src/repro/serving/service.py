@@ -81,7 +81,7 @@ from ..mpirical.pipeline import MPIRical, PredictionResult
 from ..mpirical.suggestions import extract_suggestions
 from ..registry import ModelEntry, ModelRegistry, RegistryError
 from ..tokenization.code_tokenizer import tokenize_code
-from ..verify import VerificationReport, VerifyConfig, verify_candidates
+from ..verify import Budget, VerificationReport, VerifyConfig, verify_candidates
 from ..xsbt.xsbt import xsbt_string
 from .cache import LRUCache, canonical_cache_key
 from .metrics import ServingMetrics
@@ -352,8 +352,11 @@ class InferenceService:
                            response: AdviseResponse) -> AdviseResponse:
         """Take a served response through simulate-and-rerank verification.
 
-        Bounded and non-fatal by construction: the whole pass runs inside the
-        request's ``verify.timeout_ms`` budget, any internal failure (or an
+        Bounded and non-fatal by construction: one budget of the request's
+        ``verify.timeout_ms`` starts here and covers the whole pass (the
+        N-best decode, the serial reference and every candidate run, each
+        simulation stopped at its share, with a reserve for the report), so
+        the call returns within ``timeout_ms``.  Any internal failure (or an
         original program that does not simulate) degrades to
         ``verification: {"verified": "skipped", ...}``, and the normally
         served advice always survives.  When a runner-up candidate is the
@@ -367,6 +370,7 @@ class InferenceService:
         if options is None:
             return response
         start = time.perf_counter()
+        budget = Budget.from_timeout(options.timeout_ms / 1000.0)
         verify_key = f"{response.cache_key}|verify:{options.canonical()}"
         if self.verify_cache is not None:
             hit = self.verify_cache.get(verify_key)
@@ -379,7 +383,7 @@ class InferenceService:
                                verification=dict(payload))
         try:
             report, candidates = self._run_verification(request, response,
-                                                        options)
+                                                        options, budget=budget)
         except Exception as exc:  # noqa: BLE001 — verification never fails a request
             report = VerificationReport.skipped(
                 f"verification error: {type(exc).__name__}: {exc}")
@@ -406,9 +410,11 @@ class InferenceService:
         return verified
 
     def _run_verification(self, request: AdviseRequest,
-                          response: AdviseResponse, options) -> tuple:
+                          response: AdviseResponse, options, *,
+                          budget: Budget) -> tuple:
         """Decode extra candidates (when the strategy can supply them) and run
-        the rank-sweep verification; returns ``(report, candidates)``."""
+        the rank-sweep verification inside ``budget``; returns
+        ``(report, candidates)``."""
         strategy = request.strategy.normalised()
         limit = min(options.candidates, strategy.nbest_limit())
         if limit > 1:
@@ -432,8 +438,8 @@ class InferenceService:
             timeout=options.timeout_ms / 1000.0,
             sim_timeout=min(5.0, options.timeout_ms / 1000.0),
         )
-        return verify_candidates(request.code, candidates,
-                                 config=config), candidates
+        return verify_candidates(request.code, candidates, config=config,
+                                 budget=budget), candidates
 
     def advise_stream(self, request: AdviseRequest) -> Iterator[dict]:
         """Serve ``request`` as a stream of chunk dicts.

@@ -8,8 +8,11 @@ that is equivalent under simulation — so a runner-up hypothesis that
 actually works beats a top hypothesis that deadlocks.
 
 Everything is bounded: one wall-clock budget covers the reference capture
-and every candidate run, and an exhausted budget degrades to ``timeout``
-verdicts (or a wholly ``skipped`` report), never an exception.
+and every candidate run (and, when the caller starts it earlier, whatever
+the caller did first, such as the service's N-best decode).  Each
+simulation is stopped at its share of the budget, a small reserve is kept
+for the report, and an exhausted budget degrades to ``timeout`` verdicts
+(or a wholly ``skipped`` report), never an exception.
 """
 
 from __future__ import annotations
@@ -61,25 +64,28 @@ class VerifyConfig:
 
 
 def verify_candidates(original: str, candidates: list, *,
-                      config: VerifyConfig | None = None) -> VerificationReport:
+                      config: VerifyConfig | None = None,
+                      budget: Budget | None = None) -> VerificationReport:
     """Verify ``candidates`` (best-first) against ``original`` and rerank.
 
     Returns a :class:`VerificationReport` whose ``winner_index`` is the
     first equivalent candidate in model order — candidate 0 when all of
     them fail (the model's choice stands, flagged unverified).  The report
     is ``skipped`` when the serial reference cannot be captured or the
-    budget expires before any candidate produced a verdict.
+    budget expires before any candidate produced a verdict.  ``budget``
+    defaults to ``config.timeout`` from now; a caller passes its own to
+    count time it spent before the call.
     """
     config = config or VerifyConfig()
     config.validate()
     started = time.monotonic()
-    budget = Budget.from_timeout(config.timeout)
+    budget = budget or Budget.from_timeout(config.timeout)
 
     if not candidates:
         return VerificationReport.skipped("no candidates to verify")
     try:
         reference = capture_reference(
-            original, timeout=min(config.sim_timeout, config.timeout))
+            original, timeout=budget.run_seconds(config.sim_timeout))
     except ReferenceError as exc:
         report = VerificationReport.skipped(str(exc))
         report.wall_ms = (time.monotonic() - started) * 1000.0

@@ -7,6 +7,11 @@ into a structured :class:`repro.verify.verdict.Verdict` — **never** an
 exception.  Numerical comparison is tolerance-based over the numbers each
 program prints (in document order), falling back to exact text comparison
 for number-free output.
+
+Time is bounded by one :class:`Budget`.  Each simulation gets what remains
+of it, less :data:`REPORT_RESERVE_S`, and the simulator stops every rank at
+that run's deadline (see :mod:`repro.mpisim.runtime`), so a verification
+ends inside its budget.
 """
 
 from __future__ import annotations
@@ -25,6 +30,13 @@ _NUMBER_RE = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 #: Default per-simulation timeout (seconds); deliberately far below the
 #: simulator's 30s default — verification sweeps many runs per request.
 DEFAULT_SIM_TIMEOUT = 5.0
+
+#: Seconds of a budget no simulation may use: the time after the last run
+#: for building the report (and re-anchoring a reranked winner).
+REPORT_RESERVE_S = 0.05
+
+#: A candidate run is not started with less time than this left.
+MIN_RUN_S = 0.05
 
 
 def numeric_values(text: str) -> list[float]:
@@ -67,6 +79,11 @@ class Budget:
 
     def remaining(self) -> float:
         return self.deadline - time.monotonic()
+
+    def run_seconds(self, cap: float) -> float:
+        """Seconds the next simulation may take: at most ``cap``, ending
+        :data:`REPORT_RESERVE_S` before the deadline (0 when that has passed)."""
+        return max(0.0, min(cap, self.remaining() - REPORT_RESERVE_S))
 
     @property
     def expired(self) -> bool:
@@ -115,6 +132,8 @@ def run_candidate(source: str, reference_stdout: str, *, candidate: int = 0,
     and matches the reference.  ``budget``, when given, bounds the whole
     sweep: runs use whatever wall-clock remains, and an exhausted budget
     yields a ``timeout`` verdict instead of starting another simulation.
+    A run that reaches its deadline is stopped there, so the sweep ends
+    inside the budget.
     """
     started = time.monotonic()
 
@@ -132,12 +151,11 @@ def run_candidate(source: str, reference_stdout: str, *, candidate: int = 0,
     for num_ranks in ranks:
         timeout = sim_timeout
         if budget is not None:
-            remaining = budget.remaining()
-            if remaining <= 0.05:
+            timeout = budget.run_seconds(sim_timeout)
+            if timeout <= MIN_RUN_S:
                 return done("timeout",
                             f"verification budget exhausted before the "
                             f"{num_ranks}-rank run", tuple(ranks_run))
-            timeout = min(sim_timeout, remaining)
         try:
             run = run_program(source, num_ranks=num_ranks, timeout=timeout)
         except Exception as exc:  # noqa: BLE001 - a verdict, never a crash

@@ -1,10 +1,17 @@
 """Tests for the simulated MPI runtime: memory model, communicator, collectives."""
 
 import threading
+import time
 
 import pytest
 
-from repro.mpisim.comm import MessageBox, SimulationDeadlock, SplitRegistry, make_world
+from repro.mpisim.comm import (
+    CollectiveExchange,
+    MessageBox,
+    SimulationDeadlock,
+    SplitRegistry,
+    make_world,
+)
 from repro.mpisim.datatypes import MPI_MAX, MPI_MIN, MPI_PROD, MPI_SUM
 from repro.mpisim.memory import Cell, Pointer, Scope, read_buffer, write_buffer
 
@@ -159,6 +166,21 @@ class TestCommunicator:
         box = MessageBox(timeout=0.2)
         with pytest.raises(SimulationDeadlock):
             box.recv(source=0, dest=1, tag=0)
+
+    def test_run_deadline_cuts_a_longer_wait(self):
+        deadline = time.monotonic() + 0.2
+        box = MessageBox(timeout=30.0, deadline=deadline)
+        with pytest.raises(SimulationDeadlock):
+            box.recv(source=0, dest=1, tag=0)
+        exchange = CollectiveExchange(2, timeout=30.0, deadline=deadline)
+        with pytest.raises(SimulationDeadlock):
+            exchange.barrier(0)
+        assert time.monotonic() - deadline < 0.2
+
+    def test_message_already_queued_is_received_after_the_deadline(self):
+        box = MessageBox(timeout=30.0, deadline=time.monotonic() - 1.0)
+        box.send(source=0, dest=1, tag=0, payload=[4.0])
+        assert box.recv(source=0, dest=1, tag=0) == [4.0]
 
     def test_barrier_synchronises(self):
         def body(rank, comm):

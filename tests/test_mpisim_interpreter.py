@@ -1,5 +1,8 @@
 """Tests for the C interpreter and the multi-rank runtime."""
 
+import threading
+import time
+
 import pytest
 
 from repro.mpisim.runtime import run_program
@@ -188,6 +191,88 @@ class TestMPIPrograms:
         result = run_program("int main() { x = y + 1; return 0; }", num_ranks=1)
         assert not result.ok
         assert "undefined identifier" in result.errors()[0]
+
+
+#: Programs that never finish on their own, each stopped at the run deadline.
+RUNAWAY_PROGRAMS = {
+    "for": "int main() { int i; for (i = 0; ; i++) { } return 0; }",
+    "while": "int main() { int k = 0; while (1) { k = k + 1; } return 0; }",
+    "do-while": "int main() { int k = 0; do { k++; } while (k == k); return 0; }",
+    # Bounded depth, exponential calls: only the call check can stop it.
+    "call tree": ("int f(int n) { if (n == 0) return 1; return f(n - 1) + f(n - 1); }\n"
+                  "int main() { return f(60); }"),
+}
+
+RUNAWAY_TIMEOUT = 0.5
+RUNAWAY_ERROR = ("deadlock: rank {rank} did not finish within 0.5s (no blocking "
+                 "MPI call in progress — runaway computation?)")
+
+
+def _live_workers() -> set:
+    return {thread for thread in threading.enumerate()
+            if thread.name.endswith("(worker)") and thread.is_alive()}
+
+
+def _run_bounded(source: str, num_ranks: int):
+    """Run ``source`` and assert the run ends at its deadline, leaking no rank."""
+    before = _live_workers()
+    started = time.monotonic()
+    result = run_program(source, num_ranks=num_ranks, timeout=RUNAWAY_TIMEOUT)
+    assert time.monotonic() - started < RUNAWAY_TIMEOUT + 0.25
+    assert not (_live_workers() - before)
+    return result
+
+
+class TestRunawayRanks:
+    @pytest.mark.parametrize("num_ranks", [1, 4])
+    @pytest.mark.parametrize("shape", sorted(RUNAWAY_PROGRAMS))
+    def test_runaway_rank_stops_at_the_deadline(self, shape, num_ranks):
+        result = _run_bounded(RUNAWAY_PROGRAMS[shape], num_ranks)
+        assert [r.error for r in result.ranks] == [
+            RUNAWAY_ERROR.format(rank=rank) for rank in range(num_ranks)]
+        assert all(r.blocked_in is None for r in result.ranks)
+
+    @pytest.mark.parametrize("num_ranks", [1, 4])
+    def test_unbounded_recursion_fails_fast(self, num_ranks):
+        result = _run_bounded(
+            "int f(int n) { return f(n + 1); }\nint main() { return f(0); }",
+            num_ranks)
+        assert all(r.error.startswith("RecursionError: maximum recursion depth")
+                   for r in result.ranks)
+
+    @pytest.mark.parametrize("call, error", [
+        ("MPI_Recv(&v, 1, MPI_DOUBLE, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE)",
+         "SimulationDeadlock: rank {rank} timed out waiting for a message "
+         "from rank 0 (tag 0)"),
+        ("MPI_Barrier(MPI_COMM_WORLD)",
+         "SimulationDeadlock: rank {rank} timed out in MPI_Barrier after 0.5s"),
+    ])
+    @pytest.mark.parametrize("num_ranks", [2, 4])
+    def test_blocked_ranks_wake_when_their_peer_runs_away(self, call, error,
+                                                          num_ranks):
+        source = (
+            "#include <mpi.h>\n"
+            "int main(int argc, char **argv) {\n"
+            "    int rank;\n"
+            "    double v = 0.0;\n"
+            "    MPI_Init(&argc, &argv);\n"
+            "    MPI_Comm_rank(MPI_COMM_WORLD, &rank);\n"
+            "    if (rank == 0) {\n"
+            "        while (1) { v = v + 1.0; }\n"
+            "        MPI_Send(&v, 1, MPI_DOUBLE, 1, 0, MPI_COMM_WORLD);\n"
+            "    } else {\n"
+            f"        {call};\n"
+            "    }\n"
+            "    MPI_Finalize();\n"
+            "    return 0;\n"
+            "}\n"
+        )
+        result = _run_bounded(source, num_ranks)
+        assert result.ranks[0].error == RUNAWAY_ERROR.format(rank=0)
+        for rank_result in result.ranks[1:]:
+            assert rank_result.error.startswith(
+                error.format(rank=rank_result.rank))
+            assert rank_result.blocked_in.startswith(call.split("(")[0])
 
 
 class TestValidation:

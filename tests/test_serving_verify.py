@@ -4,6 +4,7 @@ streaming skip markers and the router's pool-wide verify view."""
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -30,6 +31,10 @@ int main(int argc, char **argv) {
     return 0;
 }
 """
+
+#: Its serial reference never finishes under simulation (a runaway rank).
+RUNAWAY = RUNNABLE.replace("i < 7", "i >= 0").replace("verify_total",
+                                                       "verify_runaway")
 
 #: Misses a semicolon: reference capture must fail -> verification skipped.
 UNPARSEABLE = "int main(int argc, char **argv) {\n    int x = 1\n    return x;\n}\n"
@@ -82,9 +87,9 @@ def test_non_skipped_verification_is_cached_by_options(service):
     calls = []
     original = service._run_verification
 
-    def counting(request, response, options):
+    def counting(request, response, options, **kwargs):
         calls.append(options.canonical())
-        return original(request, response, options)
+        return original(request, response, options, **kwargs)
 
     service._run_verification = counting
     try:
@@ -105,9 +110,9 @@ def test_skipped_verification_is_never_cached(service):
     calls = []
     original = service._run_verification
 
-    def counting(request, response, options):
+    def counting(request, response, options, **kwargs):
         calls.append(1)
-        return original(request, response, options)
+        return original(request, response, options, **kwargs)
 
     service._run_verification = counting
     try:
@@ -134,8 +139,40 @@ def test_exhausted_budget_degrades_to_skipped(service):
     assert "original program failed under simulation" in verification["reason"]
 
 
+def test_runaway_reference_returns_within_the_budget_and_leaks_nothing(service):
+    # Decode once untimed: the verified requests below hit the decode cache,
+    # and a skipped verification is never cached, so each one simulates.
+    service.advise_request(AdviseRequest.from_dict({"code": RUNAWAY}),
+                           timeout=120)
+    baseline = threading.active_count()
+    original = service.apply_verification
+    latencies = []
+
+    def timed(*args, **kwargs):
+        started = time.monotonic()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            latencies.append(time.monotonic() - started)
+
+    service.apply_verification = timed
+    try:
+        for _ in range(5):
+            response = service.advise_request(
+                _verify_request(RUNAWAY, {"timeout_ms": 500}), timeout=120)
+            assert response.verification["verified"] == "skipped"
+            assert "runaway computation" in response.verification["reason"]
+    finally:
+        service.apply_verification = original
+    assert len(latencies) == 5
+    assert max(latencies) < 0.5
+    # Leaked rank threads would slow every later request down.
+    assert latencies[-1] < latencies[0] + 0.1
+    assert threading.active_count() == baseline
+
+
 def test_internal_verification_error_degrades_to_skipped(service):
-    def exploding(request, response, options):
+    def exploding(request, response, options, **kwargs):
         raise RuntimeError("verification backend on fire")
 
     original = service._run_verification
