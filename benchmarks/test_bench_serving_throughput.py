@@ -195,20 +195,18 @@ def test_batched_sampling_throughput(benchmark, smoke_setup):
 
 def test_service_end_to_end_throughput(bench_model, bench_dataset):
     """Concurrent clients through the full service vs. a sequential loop."""
-    from repro.model.generation import GenerationConfig
     from repro.serving import InferenceService
 
     sources, _ = _decode_inputs(bench_model, bench_dataset)
-    generation = GenerationConfig(max_length=MAX_LENGTH)
 
     start = time.perf_counter()
     for src in sources:
-        bench_model.predict_code(src, generation=generation)
+        bench_model.predict_code(src, max_length=MAX_LENGTH)
     sequential_s = time.perf_counter() - start
 
     with InferenceService(bench_model, max_batch_size=BATCH_SIZE,
                           cache_capacity=64,
-                          generation=generation) as service:
+                          max_length=MAX_LENGTH) as service:
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=len(sources)) as pool:
             served = list(pool.map(lambda s: service.advise(s, timeout=600), sources))

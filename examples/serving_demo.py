@@ -52,8 +52,7 @@ from repro.api import AdviseRequest
 from repro.corpus import MiningConfig, build_corpus
 from repro.dataset import build_dataset
 from repro.model.config import tiny_config
-from repro.model.decoding import SampleStrategy
-from repro.model.generation import GenerationConfig
+from repro.model.decoding import BeamStrategy, SampleStrategy
 from repro.mpirical import MPIRical
 from repro.registry import ModelRegistry
 from repro.serving import InferenceService
@@ -73,11 +72,11 @@ def train_demo_model() -> tuple[MPIRical, list[str]]:
 
 def main() -> None:
     model, programs = train_demo_model()
-    generation = GenerationConfig(max_length=80)
+    max_length = 80
     registry = ModelRegistry(model, name="advisor-v1")
 
     with InferenceService(registry, max_batch_size=8, cache_capacity=128,
-                          generation=generation) as service:
+                          max_length=max_length) as service:
         print(f"\n--- wave 1: cold burst of {len(programs)} concurrent programs")
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=len(programs)) as pool:
@@ -97,15 +96,15 @@ def main() -> None:
         print(f"    all cached despite edits: {all(r.cached for r in reformatted)}")
 
         print("\n--- wave 4: beam burst (beam_size=4) over the same programs")
+        beam = BeamStrategy(beam_size=4, length_penalty=0.6)
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=len(programs)) as pool:
             beamed = list(pool.map(
-                lambda p: service.advise(p, beam_size=4, length_penalty=0.6),
-                programs))
+                lambda p: service.advise(p, strategy=beam), programs))
         print(f"    {len(beamed)} beam responses in "
               f"{time.perf_counter() - start:.2f}s; greedy cache entries "
               f"did not answer them: {not any(r.cached for r in beamed)}")
-        replay = service.advise(programs[0], beam_size=4, length_penalty=0.6)
+        replay = service.advise(programs[0], strategy=beam)
         print(f"    identical beam request replays from cache: {replay.cached}")
 
         print("\n--- wave 5: sampling wave (SampleStrategy, explicit seeds)")
@@ -186,7 +185,7 @@ def main() -> None:
     print("\n--- wave 8: durable jobs — WAL, simulated crash, idempotent resume")
     registry_root = workdir / "durable"
     crashed = InferenceService(model, max_batch_size=8, cache_capacity=128,
-                               generation=generation,
+                               max_length=max_length,
                                registry_root=registry_root)
     job = crashed.jobs.submit([AdviseRequest(code=p) for p in programs])
     print(f"    job {job.job_id} ({job.to_dict()['total']} items) fsynced to "
@@ -201,7 +200,7 @@ def main() -> None:
     crashed.close()
 
     with InferenceService(model, max_batch_size=8, cache_capacity=128,
-                          generation=generation,
+                          max_length=max_length,
                           registry_root=registry_root) as restarted:
         snapshot = restarted.jobs.snapshot()
         resumed = restarted.jobs.get(job.job_id)

@@ -27,7 +27,6 @@ from .contract import (
     VerifyOptions,
     advice_items,
     parse_batch_advise,
-    parse_legacy_advise,
     strategy_matrix,
 )
 
@@ -40,6 +39,5 @@ __all__ = [
     "VerifyOptions",
     "advice_items",
     "parse_batch_advise",
-    "parse_legacy_advise",
     "strategy_matrix",
 ]

@@ -1,8 +1,8 @@
 """repro.api v1 — the typed request/response contract for advising.
 
-One versioned contract replaces the per-layer keyword surfaces that grew
-around advising (``beam_size=`` on the service, raw JSON fields on
-``/advise``, ``generation=`` on the pipeline):
+One versioned contract is the way to ask for advice, in process or over
+HTTP; a decode is a :class:`repro.model.decoding.DecodingStrategy` plus the
+serving model's ``max_length``:
 
 * :class:`AdviseRequest` — what a caller asks for: a source buffer plus a
   :class:`repro.model.decoding.DecodingStrategy` and (v1.1) an optional
@@ -288,7 +288,7 @@ class AdviseRequest:
         """Raise :class:`ApiError` unless every field is usable; return self.
 
         This is the single validation point for *every* entry path (service,
-        legacy HTTP route, v1 HTTP routes), including the NaN/inf/negative
+        v1 HTTP routes, batch items), including the NaN/inf/negative
         parameter rejection — transports only translate the raised
         :class:`ApiError` into their envelope.
         """
@@ -365,49 +365,12 @@ class AdviseRequest:
                    verify=VerifyOptions.from_value(data.get("verify"))).validate()
 
 
-
-def parse_legacy_advise(data: Mapping[str, Any],
-                        ) -> tuple[str, int | None, float | None]:
-    """Parse and validate the pre-v1 ``/advise`` body (``code``/``beam_size``/
-    ``length_penalty``).
-
-    Returns the raw ``(code, beam_size, length_penalty)`` triple with absent
-    overrides as None — the legacy surface merges partial overrides onto the
-    *service's* default generation config
-    (:meth:`repro.serving.InferenceService.legacy_strategy`), so resolution
-    cannot happen here.  Type errors are 400, out-of-range values 422,
-    matching v1.
-    """
-    from ..model.decoding import MAX_BEAM_SIZE, _require_int, _require_number
-
-    if not isinstance(data, Mapping):
-        raise ApiError.invalid_request("request body must be a JSON object")
-    code = data.get("code")
-    if not isinstance(code, str) or not code.strip():
-        raise ApiError.invalid_request('body must be {"code": "<C source>"}',
-                                       field="code")
-    beam_size = data.get("beam_size")
-    length_penalty = data.get("length_penalty")
-    try:
-        if beam_size is not None:
-            _require_int("beam_size", beam_size, minimum=1,
-                         maximum=MAX_BEAM_SIZE)
-        if length_penalty is not None:
-            length_penalty = _require_number("length_penalty", length_penalty,
-                                             minimum=0.0)
-    except StrategyParamError as exc:
-        raise ApiError.from_strategy_error(exc) from exc
-    return code, beam_size, length_penalty
-
-
-
-
 @dataclass(frozen=True)
 class AdviseResponse:
     """One advising response, transport-agnostic and losslessly serialisable.
 
-    ``advice`` items are plain dicts (the rendered suggestion payloads the
-    legacy endpoint always served); ``strategy`` is the wire form of the
+    ``advice`` items are plain dicts (the rendered suggestion payloads of
+    :func:`advice_items`); ``strategy`` is the wire form of the
     strategy the decode actually ran under (the service default when the
     request didn't pin one).
     """
@@ -466,37 +429,12 @@ class AdviseResponse:
             api_version=str(data.get("api_version", API_VERSION)),
         )
 
-    def to_legacy_dict(self) -> dict:
-        """The pre-v1 ``/advise`` body, byte-identical in shape and values.
-
-        The legacy surface spelled the strategy as ``beam_size`` /
-        ``length_penalty``; non-beam strategies report the greedy pair
-        ``(1, 0.0)`` exactly as the old server did for greedy requests.
-        """
-        from ..model.decoding import BeamStrategy
-
-        payload = {
-            "generated_code": self.generated_code,
-            "advice": [dict(item) for item in self.advice],
-            "diagnostics": list(self.diagnostics),
-            "cached": self.cached,
-            "latency_ms": self.latency_ms,
-            "cache_key": self.cache_key,
-        }
-        if isinstance(self.strategy, BeamStrategy):
-            payload["beam_size"] = self.strategy.beam_size
-            payload["length_penalty"] = self.strategy.length_penalty
-        else:
-            payload["beam_size"] = 1
-            payload["length_penalty"] = 0.0
-        return payload
-
 
 def advice_items(session) -> tuple[dict, ...]:
     """Serialise an :class:`repro.mpirical.AdviceSession`'s advice list.
 
-    This is the one place the advice wire shape is defined; both the legacy
-    and v1 endpoints (and :class:`AdviseResponse`) share it.
+    This is the one place the advice wire shape is defined; every v1 route
+    (and :class:`AdviseResponse`) shares it.
     """
     from dataclasses import asdict
 

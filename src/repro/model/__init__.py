@@ -25,12 +25,10 @@ from .decoding import (
     registered_strategies,
     sample_decode,
     strategy_from_dict,
-    strategy_from_generation,
 )
 from .config import ExperimentConfig, ModelConfig, TrainingConfig, paper_config, small_config, tiny_config
 from .generation import (
     ContinuousDecoderLoop,
-    GenerationConfig,
     beam_search_decode,
     beam_search_nbest,
     greedy_decode,
@@ -69,7 +67,6 @@ __all__ = [
     "registered_strategies",
     "sample_decode",
     "strategy_from_dict",
-    "strategy_from_generation",
     "ExperimentConfig",
     "ModelConfig",
     "TrainingConfig",
@@ -77,7 +74,6 @@ __all__ = [
     "small_config",
     "tiny_config",
     "ContinuousDecoderLoop",
-    "GenerationConfig",
     "beam_search_decode",
     "beam_search_nbest",
     "greedy_decode",

@@ -47,7 +47,6 @@ import math
 import numpy as np
 
 from .generation import (
-    GenerationConfig,
     _candidate_key,
     _decode_mode,
     _log_softmax_rows,
@@ -291,44 +290,6 @@ def strategy_from_dict(data: dict | str) -> DecodingStrategy:
             "strategy.name", f'unknown strategy "{name}" (known: {known})',
             kind="unknown")
     return cls.from_params(params)
-
-
-def strategy_from_generation(generation: GenerationConfig | None) -> DecodingStrategy:
-    """The strategy equivalent of a legacy :class:`GenerationConfig`.
-
-    ``beam_size <= 1`` normalises to greedy (the length penalty only reranks
-    beam hypotheses), mirroring the pre-registry cache-key normalisation.
-    """
-    if generation is None or generation.beam_size <= 1:
-        return GreedyStrategy()
-    return BeamStrategy(beam_size=generation.beam_size,
-                        length_penalty=generation.length_penalty)
-
-
-def merge_legacy_overrides(base: GenerationConfig, beam_size: int | None,
-                           length_penalty: float | None) -> GenerationConfig:
-    """Validate the deprecated ``(beam_size, length_penalty)`` override pair
-    and merge it onto ``base`` — the pre-v1 resolution semantics.
-
-    A partial override keeps the other knob from ``base`` (``beam_size=4``
-    alone keeps the configured penalty, a lone ``length_penalty=`` keeps the
-    configured beam size).  This is the **single** implementation of the
-    legacy mapping; the serving shim and the deprecated ``predict_*`` kwargs
-    both call it, and :func:`strategy_from_generation` turns the result into
-    the canonical strategy.  Raises :class:`StrategyParamError` on bad
-    values.
-    """
-    if beam_size is not None:
-        _require_int("beam_size", beam_size, minimum=1, maximum=MAX_BEAM_SIZE)
-    if length_penalty is not None:
-        length_penalty = _require_number("length_penalty", length_penalty,
-                                         minimum=0.0)
-    return GenerationConfig(
-        max_length=base.max_length,
-        beam_size=base.beam_size if beam_size is None else beam_size,
-        length_penalty=(base.length_penalty if length_penalty is None
-                        else length_penalty),
-    )
 
 
 # --------------------------------------------------------------------------

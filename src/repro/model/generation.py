@@ -55,15 +55,6 @@ def _decode_mode():
     return nullcontext() if mode_is_explicit() else inference_mode()
 
 
-@dataclass
-class GenerationConfig:
-    """Decoding settings."""
-
-    max_length: int = 400
-    beam_size: int = 1
-    length_penalty: float = 0.0
-
-
 # --------------------------------------------------------------------------
 # Sequential reference decoders
 # --------------------------------------------------------------------------

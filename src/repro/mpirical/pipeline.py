@@ -13,7 +13,6 @@ the evaluation metrics into the workflow of Figure 1a:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,12 +20,7 @@ from ..dataset.records import TranslationExample
 from ..evaluation.report import CorpusEvaluation, ExamplePrediction, evaluate_corpus
 from ..model.checkpoints import load_checkpoint, model_fingerprint, save_checkpoint
 from ..model.config import ExperimentConfig, small_config
-from ..model.decoding import (
-    DecodingStrategy,
-    merge_legacy_overrides,
-    strategy_from_generation,
-)
-from ..model.generation import GenerationConfig
+from ..model.decoding import DecodingStrategy, GreedyStrategy
 from ..model.trainer import Trainer, TrainingHistory
 from ..model.transformer import Seq2SeqTransformer
 from ..tokenization.code_tokenizer import ExampleEncoder, SequenceConfig, tokenize_code
@@ -66,15 +60,15 @@ class MPIRical:
 
     def __init__(self, model: Seq2SeqTransformer, encoder: ExampleEncoder,
                  config: ExperimentConfig, history: TrainingHistory | None = None,
-                 generation: GenerationConfig | None = None) -> None:
+                 max_length: int | None = None) -> None:
         self.model = model
         self.encoder = encoder
         self.config = config
         self.history = history or TrainingHistory()
-        #: Default decoding settings for every ``predict_*`` call; pass an
-        #: explicit ``generation=`` to an individual call to override them.
-        self.generation = generation or GenerationConfig(
-            max_length=config.max_target_tokens + 2)
+        #: Default decode bound (generated tokens) of every ``predict_*``
+        #: call; pass ``max_length=`` to an individual call to override it.
+        self.max_length = (config.max_target_tokens + 2 if max_length is None
+                           else max_length)
 
     # --------------------------------------------------------------- training
 
@@ -129,59 +123,28 @@ class MPIRical:
         return self._package_prediction(source_code,
                                         self.encoder.vocab.decode(generated_ids))
 
-    def _resolve_decode(self, generation: GenerationConfig | None,
-                        strategy: DecodingStrategy | None,
-                        beam_size: int | None = None,
-                        length_penalty: float | None = None,
-                        ) -> tuple[DecodingStrategy, int]:
-        """Resolve one ``(strategy, max_length)`` pair for a predict call.
-
-        Precedence: an explicit ``strategy`` wins; the deprecated
-        ``beam_size``/``length_penalty`` kwargs come next (and warn,
-        validating and merging onto the base config exactly like the serving
-        shim — :func:`repro.model.decoding.merge_legacy_overrides`); the
-        legacy ``generation`` config maps greedy/beam as it always did; the
-        pipeline default closes the chain.  ``max_length`` always comes from
-        the (given or default) generation config — it bounds the decode loop
-        and is not part of a strategy's identity.
-        """
-        if beam_size is not None or length_penalty is not None:
-            if strategy is not None:
-                raise ValueError(
-                    "pass either strategy= or the deprecated beam_size=/"
-                    "length_penalty= kwargs, not both")
-            warnings.warn(
-                "predict_*(beam_size=, length_penalty=) is deprecated; pass "
-                "strategy=BeamStrategy(...) (repro.model.decoding) instead",
-                DeprecationWarning, stacklevel=3)
-            merged = merge_legacy_overrides(generation or self.generation,
-                                            beam_size, length_penalty)
-            return strategy_from_generation(merged), merged.max_length
-        generation = generation or self.generation
-        if strategy is None:
-            strategy = strategy_from_generation(generation)
-        return strategy, generation.max_length
+    def _resolve_decode(self, strategy: DecodingStrategy | None,
+                        max_length: int | None) -> tuple[DecodingStrategy, int]:
+        """The ``(strategy, max_length)`` of a predict call: greedy and the
+        pipeline's :attr:`max_length` unless the call names its own."""
+        return (strategy or GreedyStrategy(),
+                self.max_length if max_length is None else max_length)
 
     def predict_tokens(self, source_code: str, xsbt: str | None = None, *,
-                       generation: GenerationConfig | None = None,
                        strategy: DecodingStrategy | None = None,
-                       beam_size: int | None = None,
-                       length_penalty: float | None = None,
+                       max_length: int | None = None,
                        source_tokens: list[str] | None = None,
                        on_token=None) -> list[str]:
         """Generate the output token sequence for ``source_code``.
 
-        ``strategy`` (any :class:`repro.model.decoding.DecodingStrategy`)
-        selects the decoding algorithm; ``generation`` overrides the
-        pipeline-level :attr:`generation` defaults and, when no strategy is
-        given, maps onto greedy/beam exactly as before.  ``on_token`` streams
-        each generated token id as it is emitted; ``source_tokens`` carries a
-        pre-lexed token stream (the serving layer lexes each buffer once).
-        ``beam_size`` / ``length_penalty`` are the deprecated pre-strategy
-        spelling.
+        ``strategy`` (any :class:`repro.model.decoding.DecodingStrategy`,
+        greedy by default) selects the decoding algorithm; ``max_length``
+        overrides the pipeline-level :attr:`max_length` bound.  ``on_token``
+        streams each generated token id as it is emitted; ``source_tokens``
+        carries a pre-lexed token stream (the serving layer lexes each
+        buffer once).
         """
-        strategy, max_length = self._resolve_decode(generation, strategy,
-                                                    beam_size, length_penalty)
+        strategy, max_length = self._resolve_decode(strategy, max_length)
         source_ids = self._encode_for_inference(source_code, xsbt, source_tokens)
         vocab = self.encoder.vocab
         generated_ids = strategy.decode(
@@ -204,10 +167,8 @@ class MPIRical:
                                 suggestions=suggestions)
 
     def predict_code(self, source_code: str, xsbt: str | None = None, *,
-                     generation: GenerationConfig | None = None,
                      strategy: DecodingStrategy | None = None,
-                     beam_size: int | None = None,
-                     length_penalty: float | None = None,
+                     max_length: int | None = None,
                      source_tokens: list[str] | None = None,
                      on_token=None) -> PredictionResult:
         """Generate a full program and extract insertion suggestions.
@@ -216,21 +177,19 @@ class MPIRical:
         through the code generator, so well-formed predictions come back in
         exactly the corpus' canonical style (same line discipline as the
         reference labels); malformed generations fall back to the raw
-        detokenised text.  ``strategy`` selects the decoding algorithm;
-        ``on_token`` streams token ids as they are emitted (the serving
-        layer's streaming path); ``beam_size``/``length_penalty`` are the
-        deprecated spelling.
+        detokenised text.  ``strategy`` and ``max_length`` are those of
+        :meth:`predict_tokens`; ``on_token`` streams token ids as they are
+        emitted (the serving layer's streaming path).
         """
-        tokens = self.predict_tokens(source_code, xsbt, generation=generation,
-                                     strategy=strategy, beam_size=beam_size,
-                                     length_penalty=length_penalty,
+        tokens = self.predict_tokens(source_code, xsbt, strategy=strategy,
+                                     max_length=max_length,
                                      source_tokens=source_tokens,
                                      on_token=on_token)
         return self._package_prediction(source_code, tokens)
 
     def predict_code_candidates(self, source_code: str, xsbt: str | None = None, *,
-                                generation: GenerationConfig | None = None,
                                 strategy: DecodingStrategy | None = None,
+                                max_length: int | None = None,
                                 source_tokens: list[str] | None = None,
                                 max_candidates: int = 1) -> list[PredictionResult]:
         """Up to ``max_candidates`` packaged candidate predictions, best first.
@@ -243,7 +202,7 @@ class MPIRical:
         shorter than requested.  The source is encoded once for all
         candidates.
         """
-        strategy, max_length = self._resolve_decode(generation, strategy)
+        strategy, max_length = self._resolve_decode(strategy, max_length)
         max_candidates = min(max(1, max_candidates), strategy.nbest_limit())
         source_ids = self._encode_for_inference(source_code, xsbt, source_tokens)
         vocab = self.encoder.vocab

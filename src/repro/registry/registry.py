@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from ..model.checkpoints import read_manifest
-from ..model.generation import GenerationConfig
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
     from ..mpirical.assistant import MPIAssistant
@@ -158,8 +157,7 @@ class ModelEntry:
                     self._warmed = False
                     self.loaded_at = time.time()
             if warm_up and not self._warmed:
-                mpirical.predict_code(
-                    WARMUP_SOURCE, generation=GenerationConfig(max_length=4))
+                mpirical.predict_code(WARMUP_SOURCE, max_length=4)
                 self._warmed = True
         return mpirical
 

@@ -27,7 +27,7 @@ turns it into a concurrent service:
                             under ``<registry root>/jobs/``
 ``repro.serving.server``    stdlib HTTP endpoint (/v1/advise,
                             /v1/advise/stream, /v1/advise/batch, /v1/jobs,
-                            /v1/models [list/load/swap], legacy /advise,
+                            /v1/models [list/load/swap],
                             /healthz, /metrics, /admin/drain)
                             (import explicitly: ``repro.serving.server``)
 ``repro.serving.pool``      :class:`WorkerPool`: N supervised ``server.py``
@@ -61,7 +61,7 @@ from .sched import (
     SchedulerPolicy,
     SchedWork,
 )
-from .service import InferenceService, ServedAdvice, generation_label
+from .service import InferenceService, ServedAdvice
 
 # NOTE: the HTTP layers (repro.serving.server, repro.serving.router) are
 # intentionally not imported here so that `python -m repro.serving.server` /
@@ -88,6 +88,5 @@ __all__ = [
     "JobPolicy",
     "JobStore",
     "ServedAdvice",
-    "generation_label",
     "validate_client_id",
 ]

@@ -40,9 +40,7 @@ from ..xsbt.xsbt import xsbt_string
 
 def canonical_cache_key(source_code: str, xsbt: str | None = None, *,
                         tokens: list[str] | None = None,
-                        strategy=None, beam_size: int = 1,
-                        length_penalty: float = 0.0,
-                        model: str | None = None) -> str:
+                        strategy=None, model: str | None = None) -> str:
     """Hash ``source_code`` into its canonical serving-cache key.
 
     ``xsbt`` and ``tokens`` skip re-deriving the xSBT / re-lexing the buffer
@@ -54,9 +52,8 @@ def canonical_cache_key(source_code: str, xsbt: str | None = None, *,
     (:meth:`repro.model.decoding.DecodingStrategy.canonical`, after
     :meth:`normalised`): a beam request must never be served a cached greedy
     result, and two sampling requests share an entry only when temperature,
-    top-k, top-p *and seed* all match.  ``beam_size``/``length_penalty`` are
-    the legacy spelling and map onto greedy/beam exactly as the old key did
-    (``beam_size <= 1`` normalises to greedy regardless of penalty).
+    top-k, top-p *and seed* all match.  ``None`` keys as
+    :class:`~repro.model.decoding.GreedyStrategy`, the v1 default.
 
     ``model`` is the resolved ``name@revision`` identity of the model that
     will serve the request (:class:`repro.registry.ModelEntry.identity`).
@@ -64,9 +61,9 @@ def canonical_cache_key(source_code: str, xsbt: str | None = None, *,
     flip to a retrained checkpoint, every key differs from the old
     revision's keys, so a post-swap request can never be answered from the
     pre-swap cache.  The registry-backed service always passes it; ``None``
-    (direct/legacy callers) keys on content + strategy alone.
+    (direct callers) keys on content + strategy alone.
     """
-    from ..model.decoding import BeamStrategy, GreedyStrategy
+    from ..model.decoding import GreedyStrategy
 
     if xsbt is None:
         unit, _ = parse_source_with_diagnostics(source_code)
@@ -74,9 +71,7 @@ def canonical_cache_key(source_code: str, xsbt: str | None = None, *,
     if tokens is None:
         tokens = tokenize_code(source_code)
     if strategy is None:
-        strategy = (BeamStrategy(beam_size=beam_size,
-                                 length_penalty=float(length_penalty))
-                    if beam_size > 1 else GreedyStrategy())
+        strategy = GreedyStrategy()
     digest = hashlib.sha256()
     digest.update(xsbt.encode())
     digest.update(b"\x00")

@@ -12,8 +12,8 @@ adds the fleet semantics a single process cannot offer:
 * **health checking** — an active ``/healthz`` probe loop per worker plus
   passive failure accounting on the request path; unhealthy workers drop
   out of dispatch and return when a probe succeeds;
-* **retry with jittered backoff** — idempotent requests (advise, legacy
-  advise, streams before the first forwarded byte, GETs) that hit a dead or
+* **retry with jittered backoff** — idempotent requests (advise, streams
+  before the first forwarded byte, GETs) that hit a dead or
   draining worker fail over to the next replica on the ring, up to a
   bounded attempt budget with jittered exponential backoff between tries;
 * **circuit breaking** — K consecutive failures open a worker's breaker;
@@ -530,15 +530,9 @@ class Router:
         model = payload.get("model")
         if not isinstance(model, str):
             model = None
-        if "strategy" in payload:  # v1 spelling
-            strategy = strategy_from_dict(payload["strategy"]).normalised()
-            return canonical_cache_key(code, strategy=strategy, model=model)
-        # Legacy spelling (also the v1 default: greedy).
-        return canonical_cache_key(code,
-                                   beam_size=int(payload.get("beam_size", 1)),
-                                   length_penalty=float(
-                                       payload.get("length_penalty", 0.0)),
-                                   model=model)
+        # A body without "strategy" is the v1 default, greedy.
+        strategy = strategy_from_dict(payload.get("strategy", "greedy"))
+        return canonical_cache_key(code, strategy=strategy, model=model)
 
     def plan(self, key: str) -> list[WorkerClient]:
         """Dispatch order for ``key``: ring order, draining workers removed,
@@ -1020,7 +1014,7 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
             if raw is None:
                 return
             headers = self._forward_headers()
-            if self.path in ("/v1/advise", "/advise"):
+            if self.path == "/v1/advise":
                 self._relay(self.router.dispatch("POST", self.path, raw,
                                                  headers))
             elif self.path == "/v1/advise/stream":
@@ -1173,10 +1167,10 @@ def _run_smoke_chaos(args) -> int:  # pragma: no cover
     """The fault-injection drill CI runs (also: ``tests/test_worker_pool.py``).
 
     3 real workers over one demo checkpoint; concurrent mixed traffic
-    (v1 + legacy advise over a handful of distinct buffers); SIGKILL one
-    worker mid-load; assert **zero** non-2xx among all issued requests and
-    the pool back at full strength; then a rolling swap to a second
-    registered name under the same load, again with zero failures.
+    (greedy and beam-4 v1 advise over a handful of distinct buffers);
+    SIGKILL one worker mid-load; assert **zero** non-2xx among all issued
+    requests and the pool back at full strength; then a rolling swap to a
+    second registered name under the same load, again with zero failures.
     """
     import shutil
     import tempfile
@@ -1229,11 +1223,9 @@ def _run_smoke_chaos(args) -> int:  # pragma: no cover
         def traffic(thread_index: int, requests: int) -> None:
             for n in range(requests):
                 code = codes[(thread_index + n) % len(codes)]
-                if n % 3 == 2:
-                    fire("/advise", {"code": code})
-                else:
-                    fire("/v1/advise", {"code": code,
-                                        "strategy": {"name": "greedy"}})
+                strategy = ({"name": "beam", "beam_size": 4} if n % 3 == 2
+                            else {"name": "greedy"})
+                fire("/v1/advise", {"code": code, "strategy": strategy})
 
         def run_traffic(threads: int = 6, requests: int = 20) -> int:
             workers = [threading.Thread(target=traffic, args=(index, requests))

@@ -44,10 +44,6 @@ Endpoints
     the previous model drain on it — none are dropped — and the cache can
     never serve the old revision's entries afterwards because every cache
     key embeds ``model@revision``.
-``POST /advise`` (legacy, deprecated)
-    The pre-v1 body (``{"code": ..., "beam_size"?: ..., "length_penalty"?:
-    ...}``); delegates to the v1 path through a compatibility shim and
-    answers in the legacy shape, bit-identical to previous releases.
 ``GET /healthz``
     Liveness probe; 200 with ``{"status": "ok", ...}`` plus the registry
     state (default alias identity, per-model loaded/revision flags).
@@ -62,7 +58,11 @@ well-formed requests with out-of-range parameter values (NaN/inf/negative
 knobs, oversized beams), and **429** ``queue_full`` (with ``Retry-After``)
 when the decode admission queue is full.  Validation itself lives in
 :meth:`repro.api.AdviseRequest.validate` — the server only translates the
-raised :class:`repro.api.ApiError`.
+raised :class:`repro.api.ApiError`.  Any other path, including the pre-v1
+``POST /advise``, answers **404** ``not_found``; a pre-v1 body
+``{"code", "beam_size": k, "length_penalty": p}`` is spelled
+``{"code", "strategy": {"name": "beam", "beam_size": k, "length_penalty":
+p}}`` on ``/v1/advise``.
 
 The server is a :class:`http.server.ThreadingHTTPServer`: each connection
 gets a thread, the threads converge on the service's continuous scheduler,
@@ -78,8 +78,10 @@ which trains a small demo model first (or loads ``--checkpoint DIR`` saved
 via :meth:`MPIRical.save`).  ``--registry-root DIR`` makes the job tier
 durable (the WAL lives at ``DIR/jobs/jobs.wal``; startup replays it and
 resumes unfinished jobs).  ``--smoke`` starts the server on an ephemeral
-port, exercises ``/advise``, ``/v1/advise`` and ``/v1/advise/stream``
-against it, asserts the responses, and exits — the CI smoke test.
+port, exercises ``/v1/advise``, ``/v1/advise/stream``, ``/v1/models`` and
+one ``/v1/advise/batch`` job against it, checks that the retired
+``/advise`` answers 404 ``not_found``, asserts the responses, and exits —
+the CI smoke test.
 ``--smoke-resume`` is the durability smoke: it starts a *subprocess* server
 over a registry root, submits a batch, SIGKILLs the process mid-run,
 restarts it over the same root, and asserts the job reaches ``"done"`` with
@@ -92,47 +94,19 @@ import argparse
 import json
 import sys
 import threading
-import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..api import AdviseRequest, ApiError, parse_batch_advise, parse_legacy_advise
+from ..api import AdviseRequest, ApiError, parse_batch_advise
 from ..model.checkpoints import CheckpointError
-from ..model.decoding import MAX_BEAM_SIZE  # re-export for back-compat
 from ..registry import RegistryError
 from .jobs import JobStore, validate_client_id
-from .service import InferenceService, ServedAdvice
+from .service import InferenceService
 
 #: Largest accepted request body; a source buffer bigger than this is a
 #: client error, not a workload.
 MAX_BODY_BYTES = 1 << 20
 
-__all__ = ["AdviseRequestHandler", "make_server", "advice_payload",
-           "MAX_BODY_BYTES", "MAX_BEAM_SIZE", "main"]
-
-
-def advice_payload(served: ServedAdvice) -> dict:
-    """The legacy JSON response body for one /advise call (pre-v1 shape).
-
-    The ``beam_size``/``length_penalty`` echo comes from the request's
-    *merged* legacy config (:attr:`ServedAdvice.generation`) when present —
-    the pre-v1 server echoed the resolved config, penalty and all, even for
-    greedy requests — falling back to the strategy-derived pair.
-    """
-    from ..api import AdviseResponse, advice_items
-
-    payload = AdviseResponse(
-        generated_code=served.session.generated_code,
-        advice=advice_items(served.session),
-        diagnostics=tuple(served.session.parse_diagnostics),
-        strategy=served.strategy,
-        cached=served.cached,
-        latency_ms=served.latency_ms,
-        cache_key=served.cache_key,
-    ).to_legacy_dict()
-    if served.generation is not None:
-        payload["beam_size"] = served.generation.beam_size
-        payload["length_penalty"] = served.generation.length_penalty
-    return payload
+__all__ = ["AdviseRequestHandler", "make_server", "MAX_BODY_BYTES", "main"]
 
 
 def _to_api_error(exc: Exception) -> ApiError:
@@ -193,7 +167,6 @@ class AdviseRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 — http.server naming
         routes = {
-            "/advise": self._post_advise_legacy,
             "/v1/advise": self._post_advise_v1,
             "/v1/advise/stream": self._post_advise_stream,
             "/v1/advise/batch": self._post_advise_batch,
@@ -247,20 +220,6 @@ class AdviseRequestHandler(BaseHTTPRequestHandler):
             # side effect); an untouched job tier reports enabled: False.
             "jobs": jobs.snapshot() if jobs is not None else {"enabled": False},
         })
-
-    def _post_advise_legacy(self, payload: dict) -> None:
-        """The pre-v1 route: legacy body in, legacy body out, v1 underneath."""
-        warnings.warn(
-            "POST /advise is deprecated; use POST /v1/advise",
-            DeprecationWarning, stacklevel=2)
-        code, beam_size, length_penalty = parse_legacy_advise(payload)
-        # Partial overrides merge onto the service's default config and the
-        # merged pair is echoed back — the pre-v1 semantics.  Values were
-        # validated by the parser, so this cannot raise for a client-caused
-        # reason; the route-level DeprecationWarning above is the single one.
-        served = self.service.advise_legacy_async(
-            code, beam_size, length_penalty).result()
-        self._send_json(200, advice_payload(served))
 
     def _post_advise_v1(self, payload: dict) -> None:
         request = AdviseRequest.from_dict(payload)
@@ -453,6 +412,7 @@ def _run_smoke(service: InferenceService) -> int:
     """Start the server and exercise every advise route, the model registry
     listing and one async batch-job round-trip."""
     import time
+    import urllib.error
     import urllib.request
 
     server = make_server(service, port=0, quiet=True)
@@ -466,8 +426,11 @@ def _run_smoke(service: InferenceService) -> int:
             data=json.dumps(payload).encode(),
             headers={"Content-Type": "application/json"},
         )
-        with urllib.request.urlopen(request, timeout=120) as response:
-            return response.status, response.read()
+        try:
+            with urllib.request.urlopen(request, timeout=120) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            return exc.code, exc.read()
 
     def get(path: str):
         with urllib.request.urlopen(f"http://{host}:{port}{path}",
@@ -479,8 +442,8 @@ def _run_smoke(service: InferenceService) -> int:
     try:
         status, raw = post("/advise", {"code": code})
         body = json.loads(raw)
-        if status != 200 or "generated_code" not in body:
-            failures.append(f"/advise: status={status} body={body}")
+        if status != 404 or body.get("error", {}).get("code") != "not_found":
+            failures.append(f"retired /advise: status={status} body={body}")
         status, raw = post("/v1/advise",
                            {"code": code, "strategy": {"name": "greedy"}})
         v1 = json.loads(raw)
@@ -520,8 +483,8 @@ def _run_smoke(service: InferenceService) -> int:
         for failure in failures:
             print(f"smoke test FAILED: {failure}", file=sys.stderr)
         return 1
-    print(f"smoke test ok: /advise, /v1/advise, /v1/advise/stream, /v1/models "
-          f"and a /v1/advise/batch job round-trip all answered "
+    print(f"smoke test ok: /v1/advise, /v1/advise/stream, /v1/models "
+          f"and a /v1/advise/batch job round-trip all answered, /advise is 404 "
           f"({len(lines)} stream chunk(s), job {job['job_id']} done)")
     return 0
 
@@ -698,7 +661,7 @@ def main(argv: list[str] | None = None) -> int:
     host, port = server.server_address[:2]
     print(f"serving MPI-RICAL advice on http://{host}:{port} "
           f"(POST /v1/advise, /v1/advise/stream, /v1/advise/batch, "
-          f"/v1/models/<name>/load|swap, /advise [legacy]; "
+          f"/v1/models/<name>/load|swap; "
           f"GET /v1/models, /v1/jobs/<id>, /healthz, /metrics)")
     try:
         server.serve_forever()

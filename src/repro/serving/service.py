@@ -49,16 +49,17 @@ drain on the old revision, and the old entry unloads only after its last
 lease returns.  Constructing the service from a bare pipeline still works —
 it is registered as the registry's ``default`` model.
 
-The legacy surface (``advise(code, beam_size=..., length_penalty=...)``)
-remains as a compatibility shim that emits a :class:`DeprecationWarning` and
-delegates to the v1 path; greedy and beam results are bit-identical to the
-pre-contract behaviour.
+A decode is chosen only by its strategy (``GreedyStrategy()`` when a
+request names none) and bounded only by an int ``max_length`` (the
+service's ``max_length=``, else the serving model's own
+:attr:`MPIRical.max_length`).  :meth:`InferenceService.advise` is the
+in-process shorthand for the same path: it takes ``strategy=`` and answers
+a :class:`ServedAdvice` instead of an :class:`AdviseResponse`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -68,14 +69,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..api import AdviseRequest, AdviseResponse, ApiError, advice_items
 from ..clang.parser import parse_source_with_diagnostics
-from ..model.decoding import (
-    BeamStrategy,
-    DecodingStrategy,
-    GreedyStrategy,
-    merge_legacy_overrides,
-    strategy_from_generation,
-)
-from ..model.generation import GenerationConfig
+from ..model.decoding import DecodingStrategy, GreedyStrategy
 from ..mpirical.assistant import AdviceSession, MPIAssistant, build_advice_session
 from ..mpirical.pipeline import MPIRical, PredictionResult
 from ..mpirical.suggestions import extract_suggestions
@@ -107,16 +101,6 @@ def anchor_result(source_code: str, result: PredictionResult) -> PredictionResul
     )
 
 
-def generation_label(generation: GenerationConfig) -> str:
-    """The metrics label of a legacy generation config.
-
-    Kept for backward compatibility; the label *is* the canonical serialized
-    form of the equivalent strategy, so it can never drift from the cache
-    key (``"greedy"``, ``"beam4:lp0.6"``, ...).
-    """
-    return strategy_from_generation(generation).canonical()
-
-
 @dataclass
 class ServedAdvice:
     """One request's response plus its serving-side bookkeeping."""
@@ -127,9 +111,6 @@ class ServedAdvice:
     cached: bool
     latency_ms: float
     cache_key: str
-    #: The decoding settings this response was generated under, as a legacy
-    #: :class:`GenerationConfig` view (kept for pre-v1 callers).
-    generation: GenerationConfig | None = None
     #: The strategy the decode actually ran under (the v1 identity).
     strategy: DecodingStrategy | None = None
     #: The resolved ``name@revision`` of the model that served the request.
@@ -153,9 +134,9 @@ class InferenceService:
     cache_capacity:
         LRU entries to keep; ``0`` disables caching (every request decodes).
         The cache is shared across models; keys embed ``name@revision``.
-    generation:
-        Optional legacy decoding override applied to every request that does
-        not pin a strategy; also supplies ``max_length`` for every decode.
+    max_length:
+        Optional bound on generated tokens for every decode; ``None`` uses
+        each model's own :attr:`MPIRical.max_length`.
     registry_root:
         Durable-state directory for the batch-job tier; the job WAL lives at
         ``<registry_root>/jobs/jobs.wal``.  Defaults to the registry's own
@@ -168,7 +149,7 @@ class InferenceService:
 
     def __init__(self, model: MPIRical | MPIAssistant | ModelRegistry, *,
                  max_batch_size: int = 8, cache_capacity: int = 256,
-                 generation: GenerationConfig | None = None,
+                 max_length: int | None = None,
                  metrics_window: int = 1024,
                  registry_root: "str | Path | None" = None,
                  job_policy: "JobPolicy | None" = None) -> None:
@@ -181,7 +162,7 @@ class InferenceService:
         self._job_log_dir = (Path(registry_root) / "jobs"
                              if registry_root is not None else None)
         self._job_policy = job_policy
-        self.generation = generation
+        self.max_length = max_length
         self.metrics_ = ServingMetrics(window=metrics_window)
         self.cache = LRUCache(cache_capacity) if cache_capacity > 0 else None
         #: Verification results keyed by ``<decode cache key>|verify:<options>``
@@ -424,7 +405,7 @@ class InferenceService:
             try:
                 candidates = mpirical.predict_code_candidates(
                     request.code, strategy=strategy,
-                    generation=self._default_generation(entry),
+                    max_length=self._max_length(entry),
                     max_candidates=limit)
             finally:
                 entry.release()
@@ -543,64 +524,22 @@ class InferenceService:
                 self.metrics_.record_error()
                 raise payload
 
-    # ------------------------------------------------------------- legacy api
+    # --------------------------------------------------------- in-process api
 
-    def advise(self, source_code: str, *, beam_size: int | None = None,
-               length_penalty: float | None = None,
+    def advise(self, source_code: str, *,
                strategy: DecodingStrategy | None = None,
                timeout: float | None = None) -> ServedAdvice:
         """Advise on ``source_code``, blocking until the response is ready.
 
-        ``strategy`` pins the decoding strategy for this request only;
-        ``beam_size`` / ``length_penalty`` are the deprecated pre-v1 spelling
-        of the same override (they emit a :class:`DeprecationWarning` and
-        behave bit-identically to before).
+        ``strategy`` pins the decoding strategy for this request only
+        (greedy when omitted).
         """
-        return self.advise_async(source_code, beam_size=beam_size,
-                                 length_penalty=length_penalty,
-                                 strategy=strategy).result(timeout)
+        return self.advise_async(source_code, strategy=strategy).result(timeout)
 
-    def advise_async(self, source_code: str, *, beam_size: int | None = None,
-                     length_penalty: float | None = None,
+    def advise_async(self, source_code: str, *,
                      strategy: DecodingStrategy | None = None) -> Future:
         """Non-blocking :meth:`advise`; resolves to a :class:`ServedAdvice`."""
-        if beam_size is not None or length_penalty is not None:
-            if strategy is not None:
-                raise ValueError(
-                    "pass either strategy= or the deprecated beam_size=/"
-                    "length_penalty= kwargs, not both")
-            warnings.warn(
-                "advise(beam_size=, length_penalty=) is deprecated; pass "
-                "strategy=BeamStrategy(...) or an AdviseRequest instead",
-                DeprecationWarning, stacklevel=2)
-            return self.advise_legacy_async(source_code, beam_size,
-                                            length_penalty)
         return self._advise_async(source_code, self._resolve_strategy(strategy))
-
-    def advise_legacy_async(self, source_code: str, beam_size: int | None,
-                            length_penalty: float | None) -> Future:
-        """The warning-free legacy resolution the HTTP shim delegates to.
-
-        Partial overrides merge onto the service's default generation config
-        exactly as the pre-v1 service resolved them
-        (:func:`repro.model.decoding.merge_legacy_overrides`), and the merged
-        config — not the normalised strategy — is what the response echoes
-        back (``ServedAdvice.generation``), keeping the legacy
-        ``beam_size``/``length_penalty`` echo byte-identical (a greedy
-        request with an explicit penalty echoes that penalty, as it always
-        did).  Raises :class:`repro.model.decoding.StrategyParamError`
-        (a ``ValueError``) on bad values — the same validators as v1.
-        """
-        merged = merge_legacy_overrides(self._default_generation(),
-                                        beam_size, length_penalty)
-        return self._advise_async(source_code, strategy_from_generation(merged),
-                                  generation_view=merged)
-
-    def legacy_strategy(self, beam_size: int | None,
-                        length_penalty: float | None) -> DecodingStrategy:
-        """The strategy a legacy override pair resolves to (merge + normalise)."""
-        return strategy_from_generation(merge_legacy_overrides(
-            self._default_generation(), beam_size, length_penalty))
 
     def metrics(self) -> dict:
         """Operational snapshot: request metrics + cache stats + queue depth
@@ -645,15 +584,12 @@ class InferenceService:
 
     # ------------------------------------------------------------- internals
 
-    def _default_generation(self, entry: ModelEntry | None = None) -> GenerationConfig:
-        """The decode-bounds config: the service override, or the (given or
-        default) entry's own pipeline default."""
-        if self.generation is not None:
-            return self.generation
-        entry = entry or self.registry.default_entry()
-        if entry is None:
-            return GenerationConfig()
-        return entry.ensure_loaded().generation
+    def _max_length(self, entry: ModelEntry) -> int:
+        """The decode bound: the service override, or the entry's own
+        pipeline default."""
+        if self.max_length is not None:
+            return self.max_length
+        return entry.ensure_loaded().max_length
 
     def _resolve_entry(self, model_spec: str | None) -> ModelEntry:
         """Resolve a request's ``model`` reference to a loaded registry entry.
@@ -672,25 +608,11 @@ class InferenceService:
 
     def _resolve_strategy(self, strategy: DecodingStrategy | None) -> DecodingStrategy:
         """The effective strategy: an explicit one (validated, normalised) or
-        the service default derived from the legacy generation config."""
+        the v1 default, greedy."""
         if strategy is None:
-            return strategy_from_generation(self._default_generation())
+            return GreedyStrategy()
         strategy.validate()
         return strategy.normalised()
-
-    def _generation_view(self, strategy: DecodingStrategy) -> GenerationConfig:
-        """The legacy :class:`GenerationConfig` equivalent of ``strategy``
-        (what pre-v1 callers read off :attr:`ServedAdvice.generation`)."""
-        base = self._default_generation()
-        if isinstance(strategy, BeamStrategy):
-            return GenerationConfig(max_length=base.max_length,
-                                    beam_size=strategy.beam_size,
-                                    length_penalty=strategy.length_penalty)
-        if isinstance(strategy, GreedyStrategy) and base.beam_size <= 1:
-            # The pre-v1 default view: the service's own config, penalty
-            # and all (the old service echoed it unchanged).
-            return base
-        return GenerationConfig(max_length=base.max_length)
 
     def _to_response(self, served: ServedAdvice, *,
                      echo_model: bool = False) -> AdviseResponse:
@@ -739,15 +661,11 @@ class InferenceService:
         return {"type": "final", "response": response.to_dict()}
 
     def _advise_async(self, source_code: str, strategy: DecodingStrategy,
-                      generation_view: GenerationConfig | None = None,
                       entry: ModelEntry | None = None) -> Future:
         """The shared (cache → single-flight → scheduler) path for one request.
 
-        ``generation_view`` overrides the legacy config echoed on
-        :attr:`ServedAdvice.generation` (the legacy shim passes the merged
-        pre-normalisation config so partial-override echoes stay faithful).
         ``entry`` is the resolved registry entry; None resolves the default
-        alias (legacy callers).  The owner of a decode holds a lease on the
+        alias (:meth:`advise` callers).  The owner of a decode holds a lease on the
         entry from submit until the decode resolves, so a concurrent
         hot-swap drains behind queued work instead of dropping it.
         """
@@ -768,8 +686,7 @@ class InferenceService:
             if hit is not None:
                 self._resolve(response, source_code, diagnostics, hit,
                               cached=True, start=start, key=key,
-                              strategy=strategy, generation_view=generation_view,
-                              entry=entry)
+                              strategy=strategy, entry=entry)
                 return response
 
         late_hit = None
@@ -795,8 +712,7 @@ class InferenceService:
         if late_hit is not None:
             self._resolve(response, source_code, diagnostics, late_hit,
                           cached=True, start=start, key=key,
-                          strategy=strategy, generation_view=generation_view,
-                          entry=entry)
+                          strategy=strategy, entry=entry)
             return response
 
         def _on_done(decode: Future) -> None:
@@ -821,8 +737,7 @@ class InferenceService:
                 entry.release()
             self._resolve(response, source_code, diagnostics, result,
                           cached=not owner, start=start, key=key,
-                          strategy=strategy, generation_view=generation_view,
-                          entry=entry)
+                          strategy=strategy, entry=entry)
 
         inflight.add_done_callback(_on_done)
         return response
@@ -830,7 +745,6 @@ class InferenceService:
     def _resolve(self, response: Future, source_code: str, diagnostics: list,
                  result: PredictionResult, *, cached: bool, start: float,
                  key: str, strategy: DecodingStrategy,
-                 generation_view: GenerationConfig | None = None,
                  entry: ModelEntry | None = None) -> None:
         """Build this request's session (own anchors + diagnostics) and finish.
 
@@ -846,11 +760,9 @@ class InferenceService:
         self.metrics_.record_request(latency_ms, cached=cached, model=identity)
         if entry is not None:
             entry.record_request()
-        view = generation_view or self._generation_view(strategy)
         response.set_result(ServedAdvice(session=session, cached=cached,
                                          latency_ms=latency_ms, cache_key=key,
-                                         generation=view, strategy=strategy,
-                                         model=identity))
+                                         strategy=strategy, model=identity))
 
     def _submit_sched(self, source_code: str, xsbt: str, tokens: list[str],
                       strategy: DecodingStrategy, entry: ModelEntry,
@@ -868,7 +780,7 @@ class InferenceService:
         """
         work = SchedWork(source_code=source_code, xsbt=xsbt, tokens=tokens,
                          strategy=strategy, entry=entry,
-                         max_length=self._default_generation(entry).max_length,
+                         max_length=self._max_length(entry),
                          on_token=on_token)
         try:
             return self.sched.submit(work)

@@ -24,6 +24,7 @@ from .materialize import materialize_candidate
 from .runner import (
     Budget,
     DEFAULT_SIM_TIMEOUT,
+    MIN_RUN_S,
     ReferenceError,
     capture_reference,
     run_candidate,
@@ -71,8 +72,9 @@ def verify_candidates(original: str, candidates: list, *,
     Returns a :class:`VerificationReport` whose ``winner_index`` is the
     first equivalent candidate in model order — candidate 0 when all of
     them fail (the model's choice stands, flagged unverified).  The report
-    is ``skipped`` when the serial reference cannot be captured or the
-    budget expires before any candidate produced a verdict.  ``budget``
+    is ``skipped`` when the budget leaves no run for the serial reference,
+    when the reference cannot be captured, or when the budget expires
+    before any candidate produced a verdict.  ``budget``
     defaults to ``config.timeout`` from now; a caller passes its own to
     count time it spent before the call.
     """
@@ -81,15 +83,23 @@ def verify_candidates(original: str, candidates: list, *,
     started = time.monotonic()
     budget = budget or Budget.from_timeout(config.timeout)
 
-    if not candidates:
-        return VerificationReport.skipped("no candidates to verify")
-    try:
-        reference = capture_reference(
-            original, timeout=budget.run_seconds(config.sim_timeout))
-    except ReferenceError as exc:
-        report = VerificationReport.skipped(str(exc))
+    def skipped(reason: str) -> VerificationReport:
+        report = VerificationReport.skipped(reason)
         report.wall_ms = (time.monotonic() - started) * 1000.0
         return report
+
+    if not candidates:
+        return VerificationReport.skipped("no candidates to verify")
+    # The floor run_candidate applies: a shorter run would only race the
+    # deadline, and its verdict would depend on thread scheduling.
+    timeout = budget.run_seconds(config.sim_timeout)
+    if timeout <= MIN_RUN_S:
+        return skipped(
+            "verification budget exhausted before the serial reference ran")
+    try:
+        reference = capture_reference(original, timeout=timeout)
+    except ReferenceError as exc:
+        return skipped(str(exc))
 
     verdicts = []
     for index, candidate in enumerate(candidates):
@@ -100,10 +110,8 @@ def verify_candidates(original: str, candidates: list, *,
             budget=budget))
 
     if all(v.status == "timeout" for v in verdicts):
-        report = VerificationReport.skipped(
-            "verification budget exhausted before any candidate ran")
+        report = skipped("verification budget exhausted before any candidate ran")
         report.verdicts = verdicts
-        report.wall_ms = (time.monotonic() - started) * 1000.0
         return report
 
     winner = next((v.candidate for v in verdicts if v.equivalent), 0)

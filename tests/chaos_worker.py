@@ -3,7 +3,7 @@
 ``tests/test_worker_pool.py`` runs the real :class:`repro.serving.pool.WorkerPool`
 and :class:`repro.serving.router.Router` in-process, but boots *these* as the
 worker subprocesses instead of full model servers: they answer the same
-endpoints (``/healthz``, ``/metrics``, ``/v1/advise``, ``/advise``,
+endpoints (``/healthz``, ``/metrics``, ``/v1/advise``,
 ``/v1/advise/stream``, ``/v1/advise/batch`` + ``/v1/jobs/{id}``,
 ``/v1/models`` + per-model ``load``/``swap``, ``/admin/drain``) in
 milliseconds, which keeps the chaos suite fast and deterministic, and they
@@ -123,8 +123,8 @@ class ChaosWorkerHandler(BaseHTTPRequestHandler):
             state.draining = True
             self._json(200, {"api_version": "v1", "draining": True,
                              "pending": 0})
-        elif self.path in ("/v1/advise", "/advise"):
-            self._advise(payload, legacy=self.path == "/advise")
+        elif self.path == "/v1/advise":
+            self._advise(payload)
         elif self.path == "/v1/advise/stream":
             self._advise_stream(payload)
         elif self.path == "/v1/advise/batch":
@@ -155,7 +155,7 @@ class ChaosWorkerHandler(BaseHTTPRequestHandler):
         if self.state.wedged.is_set():
             self.state.unwedged.wait(timeout=120.0)
 
-    def _advise(self, payload: dict, *, legacy: bool) -> None:
+    def _advise(self, payload: dict) -> None:
         if self._refuse_if_draining():
             return
         self._hold_if_wedged()
@@ -164,6 +164,7 @@ class ChaosWorkerHandler(BaseHTTPRequestHandler):
             state.requests_served += 1
             model = state.models[state.aliases["default"]]
         body = {
+            "api_version": "v1",
             "generated_code": payload.get("code", ""),
             "advice": [],
             "diagnostics": [],
@@ -172,11 +173,9 @@ class ChaosWorkerHandler(BaseHTTPRequestHandler):
             "worker": state.worker_id,
             "pid": os.getpid(),
             "model": model,
+            "strategy": payload.get("strategy", {"name": "greedy"}),
+            "cache_key": "stub",
         }
-        if not legacy:
-            body = {"api_version": "v1", **body,
-                    "strategy": {"name": "greedy"},
-                    "cache_key": "stub"}
         self._json(200, body)
 
     def _advise_stream(self, payload: dict) -> None:

@@ -18,7 +18,6 @@ from repro.api import (
     AdviseRequest,
     AdviseResponse,
     ApiError,
-    parse_legacy_advise,
     strategy_matrix,
 )
 from repro.model.decoding import (
@@ -27,12 +26,9 @@ from repro.model.decoding import (
     GreedyStrategy,
     SampleStrategy,
     StrategyParamError,
-    merge_legacy_overrides,
     registered_strategies,
     strategy_from_dict,
-    strategy_from_generation,
 )
-from repro.model.generation import GenerationConfig
 
 CODE = "int main(int argc, char **argv) { return 0; }\n"
 
@@ -219,62 +215,6 @@ def test_error_envelope_shape():
                                          "field": "x"}}
 
 
-# ----------------------------------------------------------- legacy mapping
-
-
-def test_legacy_overrides_merge_exactly_like_the_old_resolver():
-    """merge_legacy_overrides is the one implementation of the pre-v1
-    resolution: partial overrides keep the other knob from the base."""
-    base = GenerationConfig(max_length=50, beam_size=3, length_penalty=0.7)
-    assert merge_legacy_overrides(base, None, None) == base
-    merged = merge_legacy_overrides(base, 4, None)
-    assert (merged.beam_size, merged.length_penalty, merged.max_length) == \
-        (4, 0.7, 50)
-    merged = merge_legacy_overrides(base, None, 0.9)
-    assert (merged.beam_size, merged.length_penalty) == (3, 0.9)
-    # beam_size=1 merges, then normalises to greedy at the strategy level.
-    assert strategy_from_generation(merge_legacy_overrides(base, 1, 0.9)) == \
-        GreedyStrategy()
-    with pytest.raises(StrategyParamError):
-        merge_legacy_overrides(base, 0, None)
-    with pytest.raises(StrategyParamError):
-        merge_legacy_overrides(base, None, float("nan"))
-
-
-def test_parse_legacy_advise_returns_raw_validated_overrides():
-    """The parser keeps absent fields as None — partial overrides merge onto
-    the *service's* default config (InferenceService.legacy_strategy), so
-    resolution cannot happen at parse time."""
-    assert parse_legacy_advise({"code": CODE}) == (CODE, None, None)
-    assert parse_legacy_advise({"code": CODE, "beam_size": 4}) == (CODE, 4, None)
-    assert parse_legacy_advise({"code": CODE, "length_penalty": 1}) == \
-        (CODE, None, 1.0)
-    with pytest.raises(ApiError) as excinfo:
-        parse_legacy_advise({"code": CODE, "beam_size": 99})
-    assert excinfo.value.status == 422
-    with pytest.raises(ApiError) as excinfo:
-        parse_legacy_advise({"code": CODE, "length_penalty": float("nan")})
-    assert excinfo.value.status == 422
-
-
-def test_legacy_response_shape_matches_pre_v1_bytes():
-    """to_legacy_dict reproduces the old /advise body: same keys, same
-    order, strategy spelled as beam_size/length_penalty."""
-    response = AdviseResponse(
-        generated_code="int main() {}\n", advice=(), diagnostics=(),
-        strategy=BeamStrategy(beam_size=4, length_penalty=0.6),
-        cached=False, latency_ms=2.0, cache_key="k")
-    legacy = response.to_legacy_dict()
-    assert list(legacy) == ["generated_code", "advice", "diagnostics",
-                            "cached", "latency_ms", "cache_key",
-                            "beam_size", "length_penalty"]
-    assert legacy["beam_size"] == 4 and legacy["length_penalty"] == 0.6
-    greedy = AdviseResponse(
-        generated_code="", advice=(), diagnostics=(),
-        strategy=SampleStrategy(seed=5)).to_legacy_dict()
-    assert greedy["beam_size"] == 1 and greedy["length_penalty"] == 0.0
-
-
 # ------------------------------------------------- normalisation invariants
 
 
@@ -284,22 +224,14 @@ def test_beam_size_one_normalises_to_greedy():
     assert BeamStrategy(beam_size=2).normalised() == BeamStrategy(beam_size=2)
 
 
-def test_strategy_from_generation_mirrors_legacy_cache_normalisation():
-    assert strategy_from_generation(None) == GreedyStrategy()
-    assert strategy_from_generation(GenerationConfig(beam_size=1,
-                                                     length_penalty=0.9)) == \
-        GreedyStrategy()
-    beam = strategy_from_generation(GenerationConfig(beam_size=4,
-                                                     length_penalty=0.6))
-    assert beam == BeamStrategy(beam_size=4, length_penalty=0.6)
-    assert beam.canonical() == "beam4:lp0.6"
-
-
 def test_canonical_distinguishes_every_output_changing_parameter():
     a = SampleStrategy(temperature=0.7, seed=1)
     b = SampleStrategy(temperature=0.7, seed=2)
     c = SampleStrategy(temperature=0.7000001, seed=1)
     assert len({a.canonical(), b.canonical(), c.canonical()}) == 3
+    # Two penalties that cache separately must never share a metrics label.
+    assert BeamStrategy(beam_size=4, length_penalty=0.6).canonical() != \
+        BeamStrategy(beam_size=4, length_penalty=0.6000001).canonical()
 
 
 def test_int_and_float_spellings_share_one_canonical_identity():

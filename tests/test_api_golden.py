@@ -30,7 +30,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.model.generation import GenerationConfig
 from repro.serving import InferenceService
 from repro.serving.server import make_server
 
@@ -44,7 +43,7 @@ CASES = sorted(GOLDEN_DIR.glob("*.json"))
 def endpoint(tiny_model):
     service = InferenceService(tiny_model, max_batch_size=4,
                                cache_capacity=64,
-                               generation=GenerationConfig(max_length=60))
+                               max_length=60)
     server = make_server(service, port=0, quiet=True)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -542,18 +542,17 @@ def test_scheduler_records_step_join_wait_and_batch_metrics():
 
 
 from repro.api import AdviseRequest  # noqa: E402  (section-local imports)
-from repro.model.generation import GenerationConfig  # noqa: E402
 from repro.serving import InferenceService  # noqa: E402
 from repro.serving.router import Router, RouterPolicy  # noqa: E402
 from repro.serving.server import make_server  # noqa: E402
 
-FAST = GenerationConfig(max_length=40)
+FAST = 40
 
 
 @pytest.fixture(scope="module")
 def continuous_service(tiny_model):
     with InferenceService(tiny_model, max_batch_size=4, cache_capacity=32,
-                          generation=FAST) as svc:
+                          max_length=FAST) as svc:
         yield svc
 
 
@@ -583,7 +582,7 @@ def test_beam_wider_than_the_batch_equals_beam_search_decode(tiny_model,
     source = small_dataset.splits.test[4].source_code
     strategy = BeamStrategy(beam_size=16, length_penalty=0.6)
     with InferenceService(tiny_model, max_batch_size=8, cache_capacity=0,
-                          generation=FAST) as svc:
+                          max_length=FAST) as svc:
         served = svc.advise_request(AdviseRequest(code=source,
                                                   strategy=strategy),
                                     timeout=300)
@@ -593,7 +592,7 @@ def test_beam_wider_than_the_batch_equals_beam_search_decode(tiny_model,
                              tiny_model.encode_source_ids(source),
                              sos_id=vocab.sos_id, eos_id=vocab.eos_id,
                              pad_id=vocab.pad_id, beam_size=16,
-                             max_length=FAST.max_length, length_penalty=0.6)
+                             max_length=FAST, length_penalty=0.6)
     expected = tiny_model.package_prediction(source, ids)
     assert served.generated_code == expected.generated_code
 
@@ -611,7 +610,7 @@ def test_full_queue_answers_429_queue_full_everywhere(tiny_model,
     def full(work):
         raise QueueFullError("scheduler queue is full (1)")
 
-    service = InferenceService(tiny_model, cache_capacity=0, generation=FAST)
+    service = InferenceService(tiny_model, cache_capacity=0, max_length=FAST)
     monkeypatch.setattr(service.sched, "submit", full)
     server = make_server(service, port=0, quiet=True)
     host, port = server.server_address[:2]
@@ -670,7 +669,7 @@ def test_stream_rides_the_shared_continuous_batch(continuous_service,
 
 def test_router_aggregates_pool_sched_gauges(tiny_model, small_dataset):
     service = InferenceService(tiny_model, cache_capacity=16,
-                               generation=FAST)
+                               max_length=FAST)
     server = make_server(service, port=0, quiet=True)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -354,14 +354,12 @@ def test_real_model_beam_batch_no_length_penalty(tiny_model, beam_sources):
 def test_pipeline_beam_batch_matches_per_example(tiny_model, beam_sources):
     """Beam requests through the threaded scheduler, packaged by the
     pipeline, ≡ per-example ``predict_code`` (tokens, code, suggestions)."""
-    from repro.model.generation import GenerationConfig
-
-    batched = scheduled_predictions(
-        tiny_model, beam_sources, BeamStrategy(beam_size=3, length_penalty=0.6),
-        max_length=40)
-    generation = GenerationConfig(max_length=40, beam_size=3, length_penalty=0.6)
+    strategy = BeamStrategy(beam_size=3, length_penalty=0.6)
+    batched = scheduled_predictions(tiny_model, beam_sources, strategy,
+                                    max_length=40)
     for source, result in zip(beam_sources, batched):
-        single = tiny_model.predict_code(source, generation=generation)
+        single = tiny_model.predict_code(source, strategy=strategy,
+                                         max_length=40)
         assert result.generated_tokens == single.generated_tokens
         assert result.generated_code == single.generated_code
         assert result.suggestions == single.suggestions

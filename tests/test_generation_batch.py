@@ -155,13 +155,10 @@ def test_real_model_batch_matches_sequential(tiny_model, ragged_sources):
 def test_pipeline_batch_predictions_match(tiny_model, ragged_sources):
     """Greedy requests through the scheduler are per-example identical to
     ``predict_code``."""
-    from repro.model.generation import GenerationConfig
-
-    generation = GenerationConfig(max_length=60)
     batched = scheduled_predictions(tiny_model, ragged_sources,
                                     GreedyStrategy(), max_length=60)
     for source, result in zip(ragged_sources, batched):
-        single = tiny_model.predict_code(source, generation=generation)
+        single = tiny_model.predict_code(source, max_length=60)
         assert result.generated_tokens == single.generated_tokens
         assert result.generated_code == single.generated_code
         assert result.suggestions == single.suggestions

@@ -17,7 +17,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import AdviseRequest, ApiError
-from repro.model.generation import GenerationConfig
 from repro.mpirical import MPIRical
 from repro.registry import ModelRegistry
 from repro.serving import InferenceService, JobStore, LRUCache, canonical_cache_key
@@ -50,7 +49,7 @@ def test_hot_swap_serves_every_request_and_never_a_stale_cache_entry(
     registry.register("advisor-v2", v2)
     with InferenceService(registry, max_batch_size=4,
                           cache_capacity=256,
-                          generation=GenerationConfig(max_length=48)) as service:
+                          max_length=48) as service:
         # Warm the cache on v1.  Requests reference the *alias*, so the swap
         # below re-routes them; the response echoes the resolved identity.
         pre = [service.advise_request(
@@ -142,7 +141,7 @@ def test_stream_across_swap_finishes_on_its_resolved_revision(swap_pair):
     source = "int main(int argc, char **argv) {\n    int swapped = 1;\n" \
              "    return swapped;\n}\n"
     with InferenceService(registry, cache_capacity=16,
-                          generation=GenerationConfig(max_length=32)) as service:
+                          max_length=32) as service:
         stream = service.advise_stream(
             AdviseRequest(code=source, model="default"))
         first = next(stream)            # the decode is now in flight on v1

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.model.decoding import BeamStrategy
 from repro.serving.cache import LRUCache, canonical_cache_key
 
 
@@ -92,6 +93,8 @@ int main(int argc, char **argv)
 
 RENAMED = SOURCE.replace("count", "total")
 
+BEAM4 = BeamStrategy(beam_size=4, length_penalty=0.6)
+
 
 def test_formatting_and_comments_do_not_change_the_key():
     assert canonical_cache_key(SOURCE) == canonical_cache_key(REFORMATTED)
@@ -112,18 +115,22 @@ def test_key_accepts_precomputed_xsbt():
 def test_generation_settings_change_the_key():
     """A beam-decoded result must never be served to a greedy request."""
     greedy = canonical_cache_key(SOURCE)
-    beam4 = canonical_cache_key(SOURCE, beam_size=4, length_penalty=0.6)
-    beam2 = canonical_cache_key(SOURCE, beam_size=2, length_penalty=0.6)
+    beam4 = canonical_cache_key(SOURCE, strategy=BEAM4)
+    beam2 = canonical_cache_key(
+        SOURCE, strategy=BeamStrategy(beam_size=2, length_penalty=0.6))
     assert len({greedy, beam4, beam2}) == 3
     # Penalty reranks beam hypotheses, so it is part of a beam key ...
-    assert beam4 != canonical_cache_key(SOURCE, beam_size=4, length_penalty=0.0)
-    # ... but greedy requests normalise: the penalty cannot change the output.
-    assert greedy == canonical_cache_key(SOURCE, beam_size=1, length_penalty=0.9)
+    assert beam4 != canonical_cache_key(
+        SOURCE, strategy=BeamStrategy(beam_size=4, length_penalty=0.0))
+    # ... but beam_size=1 normalises to greedy: the penalty cannot change
+    # the output.
+    assert greedy == canonical_cache_key(
+        SOURCE, strategy=BeamStrategy(beam_size=1, length_penalty=0.9))
 
 
 def test_beam_keys_stay_layout_invariant():
-    assert canonical_cache_key(SOURCE, beam_size=4, length_penalty=0.6) == \
-        canonical_cache_key(REFORMATTED, beam_size=4, length_penalty=0.6)
+    assert canonical_cache_key(SOURCE, strategy=BEAM4) == \
+        canonical_cache_key(REFORMATTED, strategy=BEAM4)
 
 
 # ------------------------------------------------------------- concurrency

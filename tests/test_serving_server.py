@@ -1,4 +1,4 @@
-"""End-to-end HTTP serving smoke tests: /advise, /healthz, /metrics, errors."""
+"""End-to-end HTTP serving smoke tests: /v1/advise, /healthz, /metrics, errors."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import urllib.request
 
 import pytest
 
-from repro.model.generation import GenerationConfig
 from repro.serving import InferenceService
 from repro.serving.server import make_server
 
@@ -18,7 +17,7 @@ from repro.serving.server import make_server
 def endpoint(tiny_model):
     service = InferenceService(tiny_model, max_batch_size=4,
                                cache_capacity=64,
-                               generation=GenerationConfig(max_length=60))
+                               max_length=60)
     server = make_server(service, port=0, quiet=True)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -43,7 +42,7 @@ def _get(url: str):
 
 def test_advise_roundtrip_and_cache_hit(endpoint, pi_source):
     payload = json.dumps({"code": pi_source}).encode()
-    status, body = _post(f"{endpoint}/advise", payload)
+    status, body = _post(f"{endpoint}/v1/advise", payload)
     assert status == 200
     assert set(body) >= {"generated_code", "advice", "diagnostics", "cached",
                          "latency_ms", "cache_key"}
@@ -52,7 +51,7 @@ def test_advise_roundtrip_and_cache_hit(endpoint, pi_source):
                              "confidence", "note", "rendered"}
 
     # The acceptance-criteria flow: the second identical request is a hit.
-    status, again = _post(f"{endpoint}/advise", payload)
+    status, again = _post(f"{endpoint}/v1/advise", payload)
     assert status == 200
     assert again["cached"] is True
     assert again["generated_code"] == body["generated_code"]
@@ -73,8 +72,8 @@ def test_healthz_reports_registry_state(endpoint):
 
 def test_metrics_reflect_served_traffic(endpoint, pi_source):
     payload = json.dumps({"code": pi_source}).encode()
-    _post(f"{endpoint}/advise", payload)
-    _post(f"{endpoint}/advise", payload)    # guaranteed cache hit
+    _post(f"{endpoint}/v1/advise", payload)
+    _post(f"{endpoint}/v1/advise", payload)    # guaranteed cache hit
     status, body = _get(f"{endpoint}/metrics")
     assert status == 200
     assert body["requests_total"] >= 2
@@ -84,20 +83,19 @@ def test_metrics_reflect_served_traffic(endpoint, pi_source):
 
 
 def test_beam_request_roundtrip(endpoint, pi_source):
-    """The beam request schema: beam_size/length_penalty are honoured, echoed
-    in the response, and cached separately from the greedy entry."""
+    """The beam strategy: beam_size/length_penalty are honoured, echoed in
+    the response's strategy, and cached separately from the greedy entry."""
     greedy_payload = json.dumps({"code": pi_source}).encode()
-    _, greedy_body = _post(f"{endpoint}/advise", greedy_payload)
+    _, greedy_body = _post(f"{endpoint}/v1/advise", greedy_payload)
 
-    payload = json.dumps({"code": pi_source, "beam_size": 2,
-                          "length_penalty": 0.6}).encode()
-    status, body = _post(f"{endpoint}/advise", payload)
+    beam = {"name": "beam", "beam_size": 2, "length_penalty": 0.6}
+    payload = json.dumps({"code": pi_source, "strategy": beam}).encode()
+    status, body = _post(f"{endpoint}/v1/advise", payload)
     assert status == 200
-    assert body["beam_size"] == 2
-    assert body["length_penalty"] == 0.6
+    assert body["strategy"] == beam
     assert body["cache_key"] != greedy_body["cache_key"]
 
-    status, again = _post(f"{endpoint}/advise", payload)
+    status, again = _post(f"{endpoint}/v1/advise", payload)
     assert status == 200
     assert again["cached"] is True
     assert again["generated_code"] == body["generated_code"]
@@ -126,9 +124,10 @@ def _error_body(excinfo) -> dict:
 ])
 def test_bad_generation_fields_are_rejected(endpoint, pi_source, fields,
                                             status, fragment):
-    payload = json.dumps({"code": pi_source, **fields}).encode()
+    payload = json.dumps({"code": pi_source,
+                          "strategy": {"name": "beam", **fields}}).encode()
     with pytest.raises(urllib.error.HTTPError) as excinfo:
-        _post(f"{endpoint}/advise", payload)
+        _post(f"{endpoint}/v1/advise", payload)
     assert excinfo.value.code == status
     envelope = _error_body(excinfo)
     assert fragment in envelope["message"]
@@ -142,14 +141,14 @@ def test_bad_generation_fields_are_rejected(endpoint, pi_source, fields,
 ])
 def test_bad_requests_are_400(endpoint, payload, fragment):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
-        _post(f"{endpoint}/advise", payload)
+        _post(f"{endpoint}/v1/advise", payload)
     assert excinfo.value.code == 400
     envelope = _error_body(excinfo)
     assert envelope["code"] == "invalid_request"
     assert fragment in envelope["message"]
 
 
-@pytest.mark.parametrize("path", ["/advise", "/v1/advise"])
+@pytest.mark.parametrize("path", ["/v1/advise/stream", "/v1/advise"])
 @pytest.mark.parametrize("payload, status, field", [
     (b"not json at all", 400, None),
     (json.dumps({"code": ""}).encode(), 400, "code"),
@@ -158,10 +157,10 @@ def test_bad_requests_are_400(endpoint, payload, fragment):
 ])
 def test_error_envelope_is_uniform_across_routes(endpoint, path, payload,
                                                  status, field):
-    """Both the legacy and v1 routes answer with the same structured
-    envelope and the same 400/422 split (the v1 spelling of beam_size=0 is
-    a strategy object)."""
-    if path == "/v1/advise" and b"beam_size" in payload:
+    """The plain and streaming routes answer with the same structured
+    envelope and the same 400/422 split, before any stream starts
+    (beam_size=0 is sent in its v1 spelling, a strategy object)."""
+    if b"beam_size" in payload:
         payload = json.dumps({"code": "int main() {}",
                               "strategy": {"name": "beam",
                                            "beam_size": 0}}).encode()
@@ -187,16 +186,6 @@ def test_v1_advise_roundtrip(endpoint, pi_source):
                          "cached", "latency_ms", "cache_key"}
     assert body["strategy"] == {"name": "beam", "beam_size": 2,
                                 "length_penalty": 0.6}
-
-    # The legacy route and the v1 route hit the same cache entry: the shim
-    # really delegates to the one v1 path.
-    legacy = json.dumps({"code": pi_source, "beam_size": 2,
-                         "length_penalty": 0.6}).encode()
-    status, legacy_body = _post(f"{endpoint}/advise", legacy)
-    assert status == 200
-    assert legacy_body["cache_key"] == body["cache_key"]
-    assert legacy_body["cached"] is True
-    assert legacy_body["generated_code"] == body["generated_code"]
 
 
 def test_v1_advise_rejects_unknown_fields(endpoint, pi_source):
@@ -270,13 +259,19 @@ def test_unknown_paths_are_404(endpoint):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post(f"{endpoint}/nope", b"{}")
     assert excinfo.value.code == 404
+    # The pre-v1 route is retired: a valid old body gets the same 404.
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _post(f"{endpoint}/advise", json.dumps({"code": "int main() {}",
+                                                "beam_size": 2}).encode())
+    assert excinfo.value.code == 404
+    assert _error_body(excinfo)["code"] == "not_found"
 
 
 # ------------------------------------------------------- model lifecycle API
 
 
 def test_metrics_report_registry_and_per_model_traffic(endpoint, pi_source):
-    _post(f"{endpoint}/advise", json.dumps({"code": pi_source}).encode())
+    _post(f"{endpoint}/v1/advise", json.dumps({"code": pi_source}).encode())
     status, body = _get(f"{endpoint}/metrics")
     assert status == 200
     registry = body["registry"]
@@ -449,7 +444,7 @@ def test_concurrent_http_clients(endpoint, small_dataset):
     def client(index: int) -> None:
         try:
             payload = json.dumps({"code": sources[index]}).encode()
-            status, body = _post(f"{endpoint}/advise", payload)
+            status, body = _post(f"{endpoint}/v1/advise", payload)
             assert status == 200
             with lock:
                 results[index] = body
@@ -490,7 +485,7 @@ def backpressure_endpoint(tiny_model):
 
     service = InferenceService(tiny_model, max_batch_size=4,
                                cache_capacity=16,
-                               generation=GenerationConfig(max_length=60))
+                               max_length=60)
     gate = threading.Event()
 
     class _GatedProxy:
@@ -593,7 +588,7 @@ def test_http_expired_vs_unknown_job(tiny_model, pi_source):
 
     service = InferenceService(tiny_model, max_batch_size=4,
                                cache_capacity=16,
-                               generation=GenerationConfig(max_length=60),
+                               max_length=60,
                                job_policy=JobPolicy(ttl_seconds=0.05))
     server = make_server(service, port=0, quiet=True)
     host, port = server.server_address[:2]
@@ -710,7 +705,7 @@ def test_drain_mode_stops_new_work_and_reports_pending(tiny_model, pi_source):
     unavailable with Retry-After, and /metrics stays observable."""
     service = InferenceService(tiny_model, max_batch_size=4,
                                cache_capacity=16,
-                               generation=GenerationConfig(max_length=60))
+                               max_length=60)
     server = make_server(service, port=0, quiet=True)
     host, port = server.server_address[:2]
     threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -762,7 +757,7 @@ def test_probes_race_wal_replay_and_store_close_without_blocking(
 
     service = InferenceService(tiny_model, max_batch_size=4,
                                cache_capacity=16,
-                               generation=GenerationConfig(max_length=60),
+                               max_length=60,
                                registry_root=str(tmp_path / "root"))
     server = make_server(service, port=0, quiet=True)
     host, port = server.server_address[:2]

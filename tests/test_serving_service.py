@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.model.generation import GenerationConfig
+from repro.model.decoding import BeamStrategy
 from repro.mpirical import MPIAssistant
 from repro.serving import InferenceService
 
 #: Short decodes keep the serving tests fast; correctness is unaffected
 #: because the direct-comparison path uses the same settings.
-FAST = GenerationConfig(max_length=60)
+FAST = 60
 
 
 @pytest.fixture(scope="module")
 def service(tiny_model):
     with InferenceService(tiny_model, max_batch_size=4,
                           cache_capacity=64,
-                          generation=FAST) as svc:
+                          max_length=FAST) as svc:
         yield svc
 
 
@@ -26,7 +26,7 @@ def direct_assistant(tiny_model):
     return MPIAssistant(tiny_model)
 
 
-def _direct_session(assistant, source, generation=FAST):
+def _direct_session(assistant, source, strategy=None):
     # Mirror the service's decode settings so sessions are comparable.
     from repro.clang.parser import parse_source_with_diagnostics
     from repro.mpirical import build_advice_session
@@ -35,7 +35,7 @@ def _direct_session(assistant, source, generation=FAST):
 
     unit, diagnostics = parse_source_with_diagnostics(source)
     result = assistant.mpirical.predict_code(source, xsbt_string(unit),
-                                             generation=generation)
+                                             strategy=strategy, max_length=FAST)
     return build_advice_session(diagnostics, result)
 
 
@@ -128,23 +128,20 @@ def test_decode_latency_is_recorded_per_decoded_request(service):
 
 def test_beam_request_matches_direct_beam_predict(service, direct_assistant,
                                                   pi_source):
-    """A beam_size override decodes through the batched beam path and matches
-    a direct per-example beam predict bit-for-bit."""
-    served = service.advise(pi_source, beam_size=2, length_penalty=0.6,
-                            timeout=120)
-    beam_config = GenerationConfig(max_length=FAST.max_length, beam_size=2,
-                                   length_penalty=0.6)
-    assert served.session == _direct_session(direct_assistant, pi_source,
-                                             beam_config)
-    assert served.generation.beam_size == 2
-    assert served.generation.length_penalty == 0.6
+    """A beam strategy decodes through the batched beam path and matches a
+    direct per-example beam predict bit-for-bit."""
+    beam = BeamStrategy(beam_size=2, length_penalty=0.6)
+    served = service.advise(pi_source, strategy=beam, timeout=120)
+    assert served.session == _direct_session(direct_assistant, pi_source, beam)
+    assert served.strategy == beam
 
 
 def test_beam_and_greedy_requests_use_separate_cache_entries(service, pi_source):
     greedy = service.advise(pi_source, timeout=120)
-    beam_first = service.advise(pi_source, beam_size=3, timeout=120)
+    beam = BeamStrategy(beam_size=3)
+    beam_first = service.advise(pi_source, strategy=beam, timeout=120)
     assert beam_first.cache_key != greedy.cache_key
-    beam_again = service.advise(pi_source, beam_size=3, timeout=120)
+    beam_again = service.advise(pi_source, strategy=beam, timeout=120)
     assert beam_again.cached
     assert beam_again.session == beam_first.session
 
@@ -153,7 +150,8 @@ def test_metrics_report_batches_per_generation_config(service, pi_source,
                                                       small_dataset):
     source = small_dataset.splits.test[6].source_code
     service.advise(source, timeout=120)                 # greedy miss
-    service.advise(source, beam_size=2, timeout=120)    # beam miss
+    service.advise(source, strategy=BeamStrategy(beam_size=2),
+                   timeout=120)                         # beam miss
     snapshot = service.metrics()
     by_config = snapshot["batches_by_config"]
     assert "greedy" in by_config
@@ -179,26 +177,15 @@ def test_per_config_metric_cardinality_is_bounded():
 
 def test_invalid_generation_overrides_are_rejected(service, pi_source):
     with pytest.raises(ValueError, match="beam_size"):
-        service.advise(pi_source, beam_size=0, timeout=120)
-    with pytest.raises(ValueError, match="length_penalty"):
-        service.advise(pi_source, length_penalty=-0.5, timeout=120)
-    # Non-finite penalties would poison the beam ranking and the cache key.
-    with pytest.raises(ValueError, match="length_penalty"):
-        service.advise(pi_source, length_penalty=float("nan"), timeout=120)
-    with pytest.raises(ValueError, match="length_penalty"):
-        service.advise(pi_source, length_penalty=float("inf"), timeout=120)
-
-
-def test_generation_label_distinguishes_every_cached_penalty():
-    """The batch-group label must be as fine-grained as the cache key: two
-    penalties that cache separately must never share a decode batch."""
-    from repro.serving import generation_label
-
-    a = GenerationConfig(beam_size=4, length_penalty=0.6)
-    b = GenerationConfig(beam_size=4, length_penalty=0.6000001)
-    assert generation_label(a) != generation_label(b)
-    assert generation_label(GenerationConfig(beam_size=1, length_penalty=0.9)) \
-        == generation_label(GenerationConfig(beam_size=1)) == "greedy"
+        service.advise(pi_source, strategy=BeamStrategy(beam_size=0),
+                       timeout=120)
+    # Negative and non-finite penalties would poison the beam ranking and
+    # the cache key.
+    for penalty in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="length_penalty"):
+            service.advise(pi_source,
+                           strategy=BeamStrategy(length_penalty=penalty),
+                           timeout=120)
 
 
 def test_abandoned_stream_still_populates_the_cache(service):
@@ -230,7 +217,7 @@ def test_abandoned_stream_still_populates_the_cache(service):
 
 def test_cache_disabled_service_always_decodes(tiny_model, pi_source):
     with InferenceService(tiny_model, max_batch_size=2,
-                          cache_capacity=0, generation=FAST) as svc:
+                          cache_capacity=0, max_length=FAST) as svc:
         assert svc.cache is None
         first = svc.advise(pi_source, timeout=120)
         second = svc.advise(pi_source, timeout=120)
@@ -240,6 +227,6 @@ def test_cache_disabled_service_always_decodes(tiny_model, pi_source):
 
 
 def test_close_is_idempotent(tiny_model):
-    svc = InferenceService(tiny_model, cache_capacity=4, generation=FAST)
+    svc = InferenceService(tiny_model, cache_capacity=4, max_length=FAST)
     svc.close()
     svc.close()

@@ -9,14 +9,13 @@ import time
 import pytest
 
 from repro.api import AdviseRequest
-from repro.model.generation import GenerationConfig
 from repro.serving import InferenceService
 from repro.serving.jobs import JobStore
 from repro.serving.metrics import ServingMetrics
 from repro.serving.router import Router, RouterPolicy
 from repro.serving.server import make_server
 
-FAST = GenerationConfig(max_length=60)
+FAST = 60
 
 #: Parses and simulates cleanly — the reference side of verification.
 RUNNABLE = """\
@@ -43,7 +42,7 @@ UNPARSEABLE = "int main(int argc, char **argv) {\n    int x = 1\n    return x;\n
 @pytest.fixture(scope="module")
 def service(tiny_model):
     with InferenceService(tiny_model, max_batch_size=4,
-                          cache_capacity=64, generation=FAST) as svc:
+                          cache_capacity=64, max_length=FAST) as svc:
         yield svc
 
 
@@ -127,16 +126,17 @@ def test_skipped_verification_is_never_cached(service):
 
 
 def test_exhausted_budget_degrades_to_skipped(service):
-    # 2M loop iterations cannot simulate inside a 1ms budget: the reference
-    # capture itself times out and the whole verification degrades to a
-    # skipped marker instead of stalling the request.
+    # A 1ms budget leaves no run for the serial reference (2M loop
+    # iterations could not simulate in it anyway): the verification is
+    # skipped before any simulation starts instead of stalling the request.
     heavy = RUNNABLE.replace("i < 7", "i < 2000000").replace(
         "verify_total", "verify_budget")
     response = service.advise_request(
         _verify_request(heavy, {"timeout_ms": 1}), timeout=120)
     verification = response.verification
     assert verification["verified"] == "skipped"
-    assert "original program failed under simulation" in verification["reason"]
+    assert verification["reason"] == ("verification budget exhausted before "
+                                       "the serial reference ran")
 
 
 def test_runaway_reference_returns_within_the_budget_and_leaks_nothing(service):
@@ -263,7 +263,7 @@ def test_verify_verdict_cardinality_is_capped():
 
 
 def test_router_aggregates_worker_verify_counters(tiny_model):
-    service = InferenceService(tiny_model, cache_capacity=16, generation=FAST)
+    service = InferenceService(tiny_model, cache_capacity=16, max_length=FAST)
     server = make_server(service, port=0, quiet=True)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -193,6 +193,20 @@ def test_verify_candidates_skips_when_budget_never_allows_a_run():
     assert report.status == "skipped"
 
 
+def test_expired_budget_skips_before_the_serial_reference_runs(monkeypatch):
+    import repro.verify.runner as runner
+
+    runs = []
+    monkeypatch.setattr(runner, "run_program",
+                        lambda *args, **kwargs: runs.append(args))
+    report = verify_candidates(SERIAL_SUM, [PARALLEL_SUM],
+                               budget=Budget(deadline=0.0))
+    assert report.status == "skipped"
+    assert report.reason == ("verification budget exhausted before the "
+                             "serial reference ran")
+    assert runs == []
+
+
 def test_verify_config_rejects_denial_of_service_knobs():
     with pytest.raises(ValueError):
         VerifyConfig(ranks=(1, 2, 4, 8, 16)).validate()

@@ -135,6 +135,10 @@ def test_affinity_key_is_canonical_not_byte_identity():
     assert router.affinity_key(compact) == router.affinity_key(spaced)
     other = json.dumps({"code": "int main() { return 42; }\n"}).encode()
     assert router.affinity_key(compact) != router.affinity_key(other)
+    # A body without "strategy" is the v1 default, greedy: same shard.
+    greedy = json.dumps({"code": "int main() { return 0; }\n",
+                         "strategy": {"name": "greedy"}}).encode()
+    assert router.affinity_key(compact) == router.affinity_key(greedy)
 
 
 def test_affinity_key_falls_back_to_a_digest_for_garbage():
@@ -276,15 +280,17 @@ def test_affinity_routes_equal_keys_to_one_worker(fleet):
     assert len(spread) >= 2, spread
 
 
-def test_legacy_and_v1_share_shards_and_contract(fleet):
-    _, _, base = fleet
+def test_retired_advise_is_404_and_never_forwarded(fleet):
+    _, router, base = fleet
     code = "int main() { return 3; }\n"
     status, v1 = _post(base, "/v1/advise", {"code": code})
     assert status == 200 and v1["api_version"] == "v1"
-    status, legacy = _post(base, "/advise", {"code": code})
-    assert status == 200 and "generated_code" in legacy
-    # Greedy default on both spellings → same canonical key → same worker.
-    assert legacy["worker"] == v1["worker"]
+    forwards = router.metrics.snapshot()["forwards_by_worker"]
+    status, body = _post(base, "/advise", {"code": code, "beam_size": 2})
+    assert status == 404
+    assert body["error"]["code"] == "not_found"
+    # The router answers the retired path itself: no worker saw it.
+    assert router.metrics.snapshot()["forwards_by_worker"] == forwards
 
 
 def test_chaos_kill_one_worker_loses_zero_requests(fleet):
@@ -299,9 +305,11 @@ def test_chaos_kill_one_worker_loses_zero_requests(fleet):
 
     def traffic(index: int) -> None:
         for n in range(15):
-            path = "/advise" if n % 3 == 2 else "/v1/advise"
-            status, payload = _post(base, path,
-                                    {"code": codes[(index + n) % len(codes)]})
+            strategy = ({"name": "beam", "beam_size": 4} if n % 3 == 2
+                        else {"name": "greedy"})
+            status, payload = _post(base, "/v1/advise",
+                                    {"code": codes[(index + n) % len(codes)],
+                                     "strategy": strategy})
             with results_lock:
                 results.append((status, payload))
                 done[0] += 1
