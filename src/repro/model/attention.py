@@ -11,11 +11,29 @@ in copies instead of the O(L) full-history reconcatenation it used to be
 (O(L²) per decoded sequence).  Beam pruning re-gathers rows in place via
 :meth:`KVCache.reorder_rows` — the buffers are reused, not reallocated.
 
-:meth:`MultiHeadAttention.forward_data` is the fused no-tape kernel used by
-the inference fast path: a single pass over raw ndarrays (projections from
-dtype-cast cached weights, scaled dot-product scores, in-place masking and a
-numerically-safe in-place softmax) with the exact op order of the tape path,
-so the float64 fast path is bitwise identical to the reference.
+One kernel, two modes
+---------------------
+:func:`attention_probs` is the single forward kernel of both attention paths:
+scores, ``×scale``, in-place masking and a numerically-safe in-place softmax,
+all in one ``(batch, heads, q_len, k_len)`` buffer.
+:meth:`MultiHeadAttention.forward_data` (the no-tape inference kernel) calls
+it on raw ndarrays; :func:`scaled_dot_product_attention` (the training path,
+called by :meth:`MultiHeadAttention.__call__`) wraps it as **one tape op**
+with a hand-written backward.  At float64 the two paths are bitwise
+identical to each other and to the composed chain (matmul, ×scale,
+masked_fill, softmax, dropout, matmul) they replaced.
+
+What the tape op saves for backward: ``q``, ``k``, ``v`` (views the
+projections hold anyway), the mask, the softmax probabilities — one float
+array of ``(batch, heads, q_len, k_len)`` — and a **bool** dropout keep-mask.
+The composed chain kept six such float arrays per module (scores, scaled
+scores, masked fill, softmax, a float dropout mask and the dropped weights).
+The dropped weights are rebuilt elementwise in backward.  The softmax is
+deliberately *not* recomputed there (FlashAttention-style, Dao et al. 2022):
+on the train-steps benchmark (2 vCPU, two alternating pairs) recomputing it
+lowered peak RSS from 426 to 357 MB but cost +14 % step latency and +11 %
+CPU per step, while saving the probabilities was faster than the composed
+chain.
 """
 
 from __future__ import annotations
@@ -24,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, is_grad_enabled
 from .layers import Linear, Module, cast_param
 
 
@@ -396,6 +414,8 @@ class MultiHeadAttention(Module):
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
+        #: A Python float, so a float32 score buffer keeps a float32 multiply.
+        self.scale = 1.0 / float(np.sqrt(self.head_dim))
         self.dropout = dropout
         self.q_proj = Linear(dim, dim, rng)
         self.k_proj = Linear(dim, dim, rng)
@@ -451,12 +471,9 @@ class MultiHeadAttention(Module):
                     k = Tensor(k_data)
                     v = Tensor(v_data)
 
-        scores = q.matmul(k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
-        if mask is not None:
-            scores = scores.masked_fill(mask, -1e9)
-        weights = scores.softmax(axis=-1)
-        weights = weights.dropout(self.dropout, rng, training)
-        context = weights.matmul(v)
+        context = scaled_dot_product_attention(
+            q, k, v, mask, self.scale, dropout=self.dropout, rng=rng,
+            training=training)
         merged = self._merge_heads(context, batch, q_len)
         return self.out_proj(merged)
 
@@ -473,12 +490,10 @@ class MultiHeadAttention(Module):
     ) -> np.ndarray:
         """Fused no-tape attention on raw ndarrays (the inference kernel).
 
-        Mirrors :meth:`__call__` with ``training=False`` operation for
-        operation — same projections, same score scaling, same mask fill
-        value, same softmax shift — so at float64 the result is bitwise
-        identical to the tape path while skipping every Tensor/tape
-        allocation.  The softmax runs in place on the score buffer
-        (max-shifted, so it is numerically safe at float32 too).
+        Mirrors :meth:`__call__` with ``training=False``: the same
+        projections and the same :func:`attention_probs` kernel, so at
+        float64 the result is bitwise identical to the tape path while
+        skipping every Tensor/tape allocation.
         """
         batch, q_len, _ = query.shape
 
@@ -496,14 +511,7 @@ class MultiHeadAttention(Module):
                 else:
                     k, v = cache.append(k, v)
 
-        scores = np.matmul(q, np.transpose(k, (0, 1, 3, 2)))
-        scores *= 1.0 / float(np.sqrt(self.head_dim))
-        if mask is not None:
-            np.copyto(scores, -1e9, where=mask)
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        context = np.matmul(scores, v)
+        context = np.matmul(attention_probs(q, k, mask, self.scale), v)
         merged = np.transpose(context, (0, 2, 1, 3)).reshape(batch, q_len, self.dim)
         return self.out_proj.forward_data(merged, dtype)
 
@@ -520,6 +528,113 @@ class MultiHeadAttention(Module):
     def _merge_heads(self, x: Tensor, batch: int, length: int) -> Tensor:
         """(batch, heads, length, head_dim) -> (batch, length, dim)"""
         return x.transpose(0, 2, 1, 3).reshape(batch, length, self.dim)
+
+
+def attention_probs(q: np.ndarray, k: np.ndarray, mask: np.ndarray | None,
+                    scale: float) -> np.ndarray:
+    """Attention weights ``softmax(q kᵀ · scale)`` over the last axis.
+
+    ``q`` is ``(batch, heads, q_len, head_dim)``, ``k`` is ``(batch, heads,
+    k_len, head_dim)`` and ``mask`` (True = not attended) broadcasts to the
+    score shape ``(batch, heads, q_len, k_len)``.  One
+    score buffer is allocated and the scaling, masking and max-shifted
+    softmax all run in place on it, in the op order of the composed tape
+    chain this kernel replaced.
+    """
+    scores = np.matmul(q, np.transpose(k, (0, 1, 3, 2)))
+    scores *= scale
+    if mask is not None:
+        np.copyto(scores, -1e9, where=mask)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def _dropped(probs: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+    """Inverted-dropout weights ``probs * keep / (1 - rate)`` (a new array)."""
+    weights = probs * keep
+    weights *= 1.0 / (1.0 - rate)
+    return weights
+
+
+def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
+                                 mask: np.ndarray | None, scale: float, *,
+                                 dropout: float = 0.0,
+                                 rng: np.random.Generator | None = None,
+                                 training: bool = False) -> Tensor:
+    """``dropout(softmax(q kᵀ · scale, masked)) v`` as one tape op.
+
+    The forward is :func:`attention_probs` plus inverted dropout on the
+    weights (its mask drawn as ``rng.random(shape) >= dropout``, the draw
+    :meth:`Tensor.dropout` makes) and the value matmul.  For backward the op
+    saves only ``q``, ``k``, ``v``, ``mask``, the probabilities and the bool
+    keep-mask; see the module docstring for why the probabilities are kept
+    rather than recomputed.
+    """
+    probs = attention_probs(q.data, k.data, mask, scale)
+    keep = None
+    weights = probs
+    if training and dropout > 0.0:
+        rng = rng or np.random.default_rng()
+        keep = rng.random(probs.shape) >= dropout
+        weights = _dropped(probs, keep, dropout)
+    out = Tensor(np.matmul(weights, v.data))
+    if not is_grad_enabled():
+        return out
+    needs = (q.requires_grad, k.requires_grad, v.requires_grad)
+    pending: dict[int, np.ndarray] = {}
+
+    def parent_grad(index: int):
+        # The tape asks for each parent's gradient separately; the first
+        # request computes all of them and each later one collects its own.
+        def grad_fn(g: np.ndarray) -> np.ndarray:
+            if not pending:
+                pending.update(_attention_backward(
+                    g, q.data, k.data, v.data, mask, probs, keep, dropout,
+                    scale, needs))
+            return pending.pop(index)
+        return grad_fn
+
+    for index, parent in enumerate((q, k, v)):
+        out._add_parent(parent, parent_grad(index))
+    return out
+
+
+def _attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray,
+                        v: np.ndarray, mask: np.ndarray | None,
+                        probs: np.ndarray, keep: np.ndarray | None,
+                        rate: float, scale: float,
+                        needs: tuple[bool, bool, bool]) -> dict[int, np.ndarray]:
+    """Gradients ``{0: dq, 1: dk, 2: dv}`` (only the ``needs``-ed ones).
+
+    Same floats as the composed chain's backward: the value matmul, the
+    dropout mask, the softmax gradient, mask zeroing, ``×scale``, then the
+    q/k matmuls.  ``g`` may alias other tape gradients, so it is only read;
+    the in-place steps run on arrays allocated here.
+    """
+    grads: dict[int, np.ndarray] = {}
+    if needs[2]:
+        weights = probs if keep is None else _dropped(probs, keep, rate)
+        grads[2] = np.matmul(np.swapaxes(weights, -1, -2), g)
+        del weights
+    if not (needs[0] or needs[1]):
+        return grads
+    d_scores = np.matmul(g, np.swapaxes(v, -1, -2))
+    if keep is not None:
+        np.multiply(d_scores, keep, out=d_scores)
+        d_scores *= 1.0 / (1.0 - rate)
+    dot = (d_scores * probs).sum(axis=-1, keepdims=True)
+    d_scores -= dot
+    d_scores *= probs
+    if mask is not None:
+        np.copyto(d_scores, 0.0, where=mask)
+    d_scores *= scale
+    if needs[0]:
+        grads[0] = np.matmul(d_scores, k)
+    if needs[1]:
+        grads[1] = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), d_scores), -1, -2)
+    return grads
 
 
 def padding_mask(ids: np.ndarray, pad_id: int) -> np.ndarray:

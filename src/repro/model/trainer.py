@@ -12,6 +12,7 @@ import numpy as np
 
 from ..tokenization.code_tokenizer import EncodedExample, pad_batch
 from ..utils.timing import Stopwatch
+from .autograd import inference_mode
 from .config import TrainingConfig
 from .loss import cross_entropy
 from .optimizer import Adam, AdamConfig
@@ -100,7 +101,12 @@ class Trainer:
         return float(result.loss.data), result.token_accuracy
 
     def evaluate(self, examples: list[EncodedExample]) -> tuple[float, float]:
-        """Mean loss and token accuracy over ``examples`` (no grad updates)."""
+        """Mean loss and token accuracy over ``examples`` (no grad updates).
+
+        Runs without a tape at float64: the losses equal the tape path's
+        bit for bit, and no validation batch holds a graph it never
+        differentiates.
+        """
         if not examples:
             return 0.0, 0.0
         losses: list[float] = []
@@ -109,8 +115,10 @@ class Trainer:
         for batch in self._make_batches(examples, shuffle=False):
             src = pad_batch([b.encoder_ids for b in batch], self.pad_id)
             tgt = pad_batch([b.decoder_ids for b in batch], self.pad_id)
-            logits = self.model.forward(src, tgt[:, :-1], self.pad_id, training=False)
-            result = cross_entropy(logits, tgt[:, 1:], self.pad_id, 0.0)
+            with inference_mode(np.float64):
+                logits = self.model.forward(src, tgt[:, :-1], self.pad_id,
+                                            training=False)
+                result = cross_entropy(logits, tgt[:, 1:], self.pad_id, 0.0)
             losses.append(float(result.loss.data))
             accuracies.append(result.token_accuracy)
             weights.append(result.num_tokens)

@@ -1,16 +1,22 @@
 """Tests for neural layers and multi-head attention."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.model.attention import (
     KVCache,
     MultiHeadAttention,
+    attention_probs,
     causal_mask,
     combined_decoder_mask,
     padding_mask,
+    scaled_dot_product_attention,
 )
-from repro.model.autograd import Tensor
+from repro.model.autograd import Tensor, numerical_gradient
+from repro.model.config import ModelConfig
 from repro.model.layers import (
     Embedding,
     FeedForward,
@@ -20,6 +26,9 @@ from repro.model.layers import (
     PositionalEncoding,
     sinusoidal_positions,
 )
+from repro.model.transformer import Seq2SeqTransformer
+
+GOLDEN = Path(__file__).parent / "golden" / "attention_chain.npz"
 
 
 class TestLinearAndNorm:
@@ -178,3 +187,164 @@ class TestMultiHeadAttention:
         attn(x, x, x).sum().backward()
         assert x.grad is not None
         assert attn.q_proj.weight.grad is not None
+
+
+def _key_padding(batch, k_len, padded):
+    """(batch, 1, 1, k_len) mask padding the last ``padded`` keys of row 1."""
+    pad = np.zeros((batch, k_len), dtype=bool)
+    pad[1, k_len - padded:] = True
+    return pad[:, None, None, :]
+
+
+def _decode_causal(q_len, k_len):
+    """Causal mask for queries at the last ``q_len`` of ``k_len`` positions."""
+    return np.triu(np.ones((q_len, k_len), dtype=bool), k=1 + k_len - q_len)[None, None]
+
+
+class TestFusedAttentionOp:
+    """``scaled_dot_product_attention``: the one tape op of attention."""
+
+    @pytest.mark.parametrize("q_len,k_len,mask_kind", [
+        (3, 5, "padding"),
+        (4, 4, "causal"),
+        (2, 5, "causal"),
+        (4, 4, "causal+padding"),
+        (3, 4, None),
+    ], ids=["padding-cross", "causal", "causal-decode", "causal+padding",
+            "unmasked-cross"])
+    def test_qkv_gradients_match_finite_differences(self, q_len, k_len, mask_kind):
+        rng = np.random.default_rng(q_len * 10 + k_len)
+        batch, heads, dim = 2, 2, 3
+        mask = None
+        if mask_kind is not None and "padding" in mask_kind:
+            mask = _key_padding(batch, k_len, 2)
+        if mask_kind is not None and "causal" in mask_kind:
+            causal = _decode_causal(q_len, k_len)
+            mask = causal if mask is None else mask | causal
+        arrays = [rng.normal(size=(batch, heads, q_len, dim)),
+                  rng.normal(size=(batch, heads, k_len, dim)),
+                  rng.normal(size=(batch, heads, k_len, dim))]
+        upstream = rng.normal(size=(batch, heads, q_len, dim))
+        scale = 1.0 / float(np.sqrt(dim))
+
+        def loss(tensors):
+            out = scaled_dot_product_attention(*tensors, mask, scale)
+            return (out * Tensor(upstream)).sum()
+
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        loss(tensors).backward()
+        for index, tensor in enumerate(tensors):
+            def probe(x, index=index):
+                inputs = [Tensor(a) for a in arrays]
+                inputs[index] = x
+                return loss(inputs)
+            numeric = numerical_gradient(probe, Tensor(arrays[index].copy()))
+            assert np.allclose(tensor.grad, numeric, atol=1e-6), (
+                f"{'qkv'[index]}: max error {np.abs(tensor.grad - numeric).max()}")
+
+    def test_seeded_dropout_matches_its_mask_and_gradients(self):
+        rng = np.random.default_rng(5)
+        q, k, v = (rng.normal(size=(1, 2, 4, 3)) for _ in range(3))
+        upstream = rng.normal(size=(1, 2, 4, 3))
+        rate, scale = 0.3, 1.0 / float(np.sqrt(3))
+        mask = causal_mask(4)
+
+        def loss(tensors, seed=11):
+            out = scaled_dot_product_attention(
+                *tensors, mask, scale, dropout=rate,
+                rng=np.random.default_rng(seed), training=True)
+            return out, (out * Tensor(upstream)).sum()
+
+        out, _ = loss([Tensor(a) for a in (q, k, v)])
+        keep = np.random.default_rng(11).random((1, 2, 4, 4)) >= rate
+        expected = np.matmul(attention_probs(q, k, mask, scale) * keep / (1 - rate), v)
+        assert np.allclose(out.data, expected, atol=1e-12)
+        assert not np.array_equal(out.data, loss([Tensor(a) for a in (q, k, v)], 12)[0].data)
+        # Evaluation (or rate 0) is the plain attention, with no draw.
+        plain = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), mask,
+                                             scale, dropout=rate, training=False)
+        assert np.array_equal(plain.data, np.matmul(attention_probs(q, k, mask, scale), v))
+
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
+        loss(tensors)[1].backward()
+        for index, tensor in enumerate(tensors):
+            def probe(x, index=index):
+                inputs = [Tensor(a) for a in (q, k, v)]
+                inputs[index] = x
+                return loss(inputs)[1]
+            numeric = numerical_gradient(probe, Tensor((q, k, v)[index].copy()))
+            assert np.allclose(tensor.grad, numeric, atol=1e-6)
+
+    @pytest.mark.parametrize("case", ["self", "cross"])
+    def test_bitwise_equal_to_the_composed_chain_golden(self, case):
+        """The golden was written by the composed Tensor chain this op
+        replaced (matmul, ×scale, masked_fill, softmax, dropout with
+        ``default_rng(99)``, matmul) and its tape backward."""
+        golden = np.load(GOLDEN)
+        g = {key[len(case) + 1:]: golden[key] for key in golden.files
+             if key.startswith(case + "_")}
+        rate = float(g["rate"])
+        tensors = [Tensor(g[name].copy(), requires_grad=True) for name in "qkv"]
+        scale = 1.0 / float(np.sqrt(g["q"].shape[-1]))
+        out = scaled_dot_product_attention(*tensors, g["mask"], scale, dropout=rate,
+                                           rng=np.random.default_rng(99),
+                                           training=rate > 0.0)
+        (out * Tensor(g["upstream"])).sum().backward()
+        assert np.array_equal(out.data, g["out"])
+        for name, tensor in zip("qkv", tensors):
+            assert np.array_equal(tensor.grad, g["d" + name]), name
+
+    def test_probability_rows_sum_to_one_and_masked_keys_get_zero(self):
+        rng = np.random.default_rng(0)
+        q, k = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, 7, 5))
+        mask = _key_padding(2, 7, 3)
+        probs = attention_probs(q, k, mask, 0.5)
+        assert np.allclose(probs.sum(axis=-1), 1.0)
+        assert np.all(probs[1, :, :, -3:] == 0.0)
+
+    def test_masked_keys_receive_no_gradient(self):
+        rng = np.random.default_rng(1)
+        q = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 2, 5, 4)), requires_grad=True)
+        v = Tensor(rng.normal(size=(2, 2, 5, 4)), requires_grad=True)
+        mask = _key_padding(2, 5, 2)
+        (scaled_dot_product_attention(q, k, v, mask, 0.5) * 2.0).sum().backward()
+        for grad in (k.grad, v.grad):
+            assert np.all(grad[1, :, -2:] == 0.0)
+            assert np.any(grad[1, :, :-2] != 0.0)
+        assert np.all(np.isfinite(q.grad))
+
+    def test_no_tape_under_inference_mode(self):
+        from repro.model.autograd import inference_mode
+        weight = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+        with inference_mode(np.float64):
+            out = scaled_dot_product_attention(weight, weight, weight, None, 1.0)
+        assert out._parents == [] and not out.requires_grad
+
+
+def test_forward_retains_at_most_one_and_a_half_score_arrays_per_attention():
+    """The tape of a training forward keeps one float probability array and
+    a bool dropout mask per attention module, not the six float
+    ``(batch, heads, q_len, k_len)`` arrays of the composed chain."""
+    length, heads = 256, 16
+    config = ModelConfig(vocab_size=24, d_model=16, num_heads=heads,
+                         num_encoder_layers=1, num_decoder_layers=1,
+                         ffn_dim=32, dropout=0.1, max_positions=length + 8)
+    model = Seq2SeqTransformer(config)
+    rng = np.random.default_rng(0)
+    source = rng.integers(1, config.vocab_size, size=(1, length))
+    target = rng.integers(1, config.vocab_size, size=(1, length))
+    modules = 3  # encoder self-attention, decoder self- and cross-attention
+    score_bytes = heads * length * length * 8
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        logits = model.forward(source, target, pad_id=0,
+                               rng=np.random.default_rng(1), training=True)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert logits.requires_grad
+    per_module = retained / (modules * score_bytes)
+    assert per_module <= 1.5, f"{per_module:.2f} score arrays per attention module"

@@ -13,7 +13,7 @@ from repro.dataset.removal import count_mpi_calls, remove_mpi_calls
 from repro.evaluation.bleu import sentence_bleu
 from repro.evaluation.classification import MPICallSite, match_call_sites
 from repro.evaluation.rouge import lcs_length, rouge_l
-from repro.model.autograd import Tensor
+from repro.model.attention import attention_probs
 from repro.tokenization.vocab import Vocabulary
 from repro.xsbt import sbt_tokens, xsbt_length, sbt_length
 
@@ -95,8 +95,9 @@ def test_match_call_sites_conservation(sites):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=24))
 def test_softmax_is_a_distribution(values):
-    x = Tensor(np.asarray(values).reshape(1, -1))
-    probs = x.softmax(axis=-1).data
+    # One query of 1.0 against keys ``values``: the scores are the values.
+    keys = np.asarray(values, dtype=np.float64).reshape(1, 1, -1, 1)
+    probs = attention_probs(np.ones((1, 1, 1, 1)), keys, None, 1.0)
     assert np.all(probs >= 0)
     assert np.isclose(probs.sum(), 1.0)
 
