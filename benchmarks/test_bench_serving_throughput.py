@@ -31,6 +31,7 @@ sequential ``predict_code`` loop.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -46,6 +47,8 @@ BATCH_SIZE = 8
 MAX_LENGTH = 120
 BEAM = BeamStrategy(beam_size=4, length_penalty=0.6)
 SAMPLE = SampleStrategy(temperature=0.8, top_k=16, top_p=0.95, seed=1234)
+#: Timed sequential/batched pairs per strategy (after one warm-up pair).
+PAIRS = 3
 
 
 def smoke_mode() -> bool:
@@ -102,8 +105,9 @@ def continuous_decode(model, encoded, strategy, **decode_args):
 
 def measure(benchmark, model, encoded, strategy, *, name: str, label: str,
             max_length: int, gate: bool) -> None:
-    """Time ``strategy`` sequentially and through the continuous batch,
-    assert exact equality, save ``name``'s table and apply the 2x gate."""
+    """Time ``strategy`` sequentially and through the continuous batch in
+    :data:`PAIRS` interleaved pairs, assert exact equality, save ``name``'s
+    table and gate the median per-pair speedup at 2x."""
     assert len(encoded) >= BATCH_SIZE
     vocab = model.encoder.vocab
     ids = dict(sos_id=vocab.sos_id, eos_id=vocab.eos_id, pad_id=vocab.pad_id)
@@ -122,27 +126,31 @@ def measure(benchmark, model, encoded, strategy, *, name: str, label: str,
     # sequential decode.
     assert batched() == sequential()
 
-    # Best-of-2 timings: the assertion below gates CI, so one noisy-neighbor
-    # blip on a shared runner must not fail the build.
+    # Interleaved sequential/batched pairs, gated on the median per-pair
+    # ratio: a noisy-neighbour blip on a shared runner spoils one pair, not
+    # the gate, and host drift hits both sides of a pair alike (timing one
+    # side entirely before the other let drift skew the ratio).
     def timed(fn):
         start = time.perf_counter()
         out = fn()
         return out, time.perf_counter() - start
 
-    sequential_out, sequential_s = timed(sequential)
-    _, sequential_retry = timed(sequential)
-    sequential_s = min(sequential_s, sequential_retry)
-
-    start = time.perf_counter()
-    batched_out = benchmark.pedantic(batched, rounds=1, iterations=1)
-    batched_s = time.perf_counter() - start
-    _, batched_retry = timed(batched)
-    batched_s = min(batched_s, batched_retry)
+    pairs = []
+    for index in range(PAIRS):
+        sequential_out, sequential_s = timed(sequential)
+        if index == 0:
+            batched_out, batched_s = timed(lambda: benchmark.pedantic(
+                batched, rounds=1, iterations=1))
+        else:
+            batched_out, batched_s = timed(batched)
+        pairs.append((sequential_s, batched_s))
+    speedup = statistics.median(seq / bat for seq, bat in pairs)
+    sequential_s = statistics.median(seq for seq, _ in pairs)
+    batched_s = statistics.median(bat for _, bat in pairs)
 
     tokens = sum(len(out) for out in sequential_out)
     sequential_tps = tokens / sequential_s
     batched_tps = tokens / batched_s
-    speedup = batched_tps / sequential_tps
 
     rows = [
         [f"sequential {label}", f"{sequential_s:.2f}", f"{sequential_tps:.1f}",
@@ -164,6 +172,7 @@ def measure(benchmark, model, encoded, strategy, *, name: str, label: str,
         "sequential_tokens_per_s": sequential_tps,
         "batched_tokens_per_s": batched_tps,
         "speedup": speedup,
+        "pair_speedups": [seq / bat for seq, bat in pairs],
     })
     save_text(name, table)
 

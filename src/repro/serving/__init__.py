@@ -12,8 +12,9 @@ turns it into a concurrent service:
                             :class:`InflightBatch`, :class:`SchedulerPolicy`)
 ``repro.serving.cache``     thread-safe LRU keyed on the canonical xSBT form
                             + decoding strategy + ``model@revision``
-``repro.serving.metrics``   hit rate, batch-size histogram, p50/p95 latency,
-                            per-model request counters
+``repro.serving.metrics``   the one metrics model (:class:`Metrics`:
+                            counters, labelled counters, windows) and the
+                            router's :func:`merge` of worker snapshots
 ``repro.serving.service``   the :class:`InferenceService` facade (v1 contract:
                             ``advise_request``, ``advise_stream``; fronts a
                             :class:`repro.registry.ModelRegistry`)
@@ -53,7 +54,7 @@ Quick start
 from .cache import CacheStats, LRUCache, canonical_cache_key
 from .joblog import JobLog
 from .jobs import Job, JobPolicy, JobStore, validate_client_id
-from .metrics import RouterMetrics, ServingMetrics, percentile
+from .metrics import Metrics, RouterMetrics, percentile
 from .sched import (
     ContinuousScheduler,
     InflightBatch,
@@ -79,8 +80,8 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "canonical_cache_key",
+    "Metrics",
     "RouterMetrics",
-    "ServingMetrics",
     "percentile",
     "InferenceService",
     "Job",

@@ -53,13 +53,14 @@ from collections import OrderedDict
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 from ..api import AdviseRequest, ApiError
 from .joblog import JobLog
+from .metrics import Metrics
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
-    from .metrics import ServingMetrics
     from .service import InferenceService
 
 #: Job lifecycle states, in order.
@@ -263,13 +264,14 @@ class JobStore:
                  max_jobs: int | None = None,
                  policy: JobPolicy | None = None,
                  log_dir: str | Path | None = None,
-                 metrics: "ServingMetrics | None" = None) -> None:
+                 metrics: Metrics | None = None) -> None:
         policy = policy or JobPolicy()
         if max_jobs is not None:
             policy = replace(policy, max_jobs=max_jobs)
         self.policy = policy.validate()
         self.service = service
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else Metrics()
+        self._m = self.bind_metrics(self.metrics)
         self._lock = threading.Lock()
         self._jobs: OrderedDict[str, Job] = OrderedDict()
         self._queue: list[Job] = []
@@ -277,16 +279,24 @@ class JobStore:
         self._cond = threading.Condition(self._lock)
         self._closed = False
         self._evicted_total = 0
-        self._dead_letter_items = 0
         self._resumed_jobs = 0
         self._restored_items = 0
-        self._rejected: dict[str, int] = {}
         self._log = JobLog(log_dir) if log_dir is not None else None
         if self._log is not None:
             self._recover()
         self._worker = threading.Thread(target=self._worker_loop,
                                         name="batch-jobs", daemon=True)
         self._worker.start()
+
+    @staticmethod
+    def bind_metrics(metrics: Metrics) -> SimpleNamespace:
+        """This store's instruments on ``metrics``.  Rejections by reason
+        are the signal to alarm on before clients see sustained 429s."""
+        return SimpleNamespace(
+            submitted=metrics.counter("jobs_submitted_total"),
+            rejected=metrics.labelled("jobs_rejected_by_reason",
+                                      total="jobs_rejected_total"),
+            dead_letter=metrics.counter("jobs_dead_letter_total"))
 
     # ------------------------------------------------------------------- api
 
@@ -341,8 +351,7 @@ class JobStore:
                 "requests": [request.to_dict() for request in job.requests],
             }, sync=True)
             self._queue.append(job)
-            if self.metrics is not None:
-                self.metrics.record_job_submitted()
+            self._m.submitted.inc()
             self._cond.notify_all()
         return job
 
@@ -392,16 +401,17 @@ class JobStore:
 
     def snapshot(self) -> dict[str, Any]:
         """Operational counters for ``/metrics`` and ``/healthz``."""
+        rejected = self._m.rejected.counts()
         with self._lock:
             jobs = list(self._jobs.values())
-            rejected = dict(sorted(self._rejected.items()))
             snapshot = {
                 "enabled": True,
                 "durable": self._log is not None,
-                "jobs_submitted_total": self._next_id - 1,
+                # Counts ids issued by earlier process lives too (the WAL).
+                "last_job_id": self._next_id - 1,
                 "retained": len(jobs),
                 "evicted_total": self._evicted_total,
-                "dead_letter_items_total": self._dead_letter_items,
+                "dead_letter_items_total": self._m.dead_letter.value,
                 "resumed_jobs": self._resumed_jobs,
                 "restored_items": self._restored_items,
                 "rejected_total": sum(rejected.values()),
@@ -551,9 +561,7 @@ class JobStore:
             self._log.sync()
 
     def _reject_locked(self, reason: str) -> None:
-        self._rejected[reason] = self._rejected.get(reason, 0) + 1
-        if self.metrics is not None:
-            self.metrics.record_job_rejected(reason)
+        self._m.rejected.inc(reason)
 
     def _evict_locked(self, job_id: str) -> None:
         del self._jobs[job_id]
@@ -682,10 +690,7 @@ class JobStore:
         if not job._set_result(index, envelope):
             return  # a late decode lost the race against its timeout envelope
         if envelope.get("status") == DEAD_LETTER:
-            with self._lock:
-                self._dead_letter_items += 1
-            if self.metrics is not None:
-                self.metrics.record_job_dead_letter()
+            self._m.dead_letter.inc()
         self._log_append({"type": "item", "id": job.job_id, "index": index,
                           "envelope": envelope})
         if job.finished:

@@ -60,12 +60,15 @@ from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Sequence
 
 from ..api import ApiError
-from .metrics import RouterMetrics
+from .metrics import Metrics, RouterMetrics, merge
 from .pool import WorkerPool, server_worker_command
+from .sched import ContinuousScheduler
 from .server import MAX_BODY_BYTES
+from .service import InferenceService
 
 __all__ = ["HashRing", "CircuitBreaker", "WorkerClient", "RouterPolicy",
            "Router", "RouterRequestHandler", "make_router", "main"]
@@ -335,6 +338,14 @@ class _StreamRelay:
 # the router
 
 
+def _idle_worker_metrics() -> dict[str, Any]:
+    """What a worker that has served nothing reports in ``/metrics``."""
+    metrics = Metrics()
+    InferenceService.bind_metrics(metrics)
+    ContinuousScheduler.bind_metrics(metrics)
+    return metrics.snapshot()
+
+
 class Router:
     """Dispatch, health, retries, drain and rolling swaps over the fleet.
 
@@ -346,13 +357,27 @@ class Router:
     def __init__(self, *, pool: WorkerPool | None = None,
                  endpoints: Sequence[tuple[str, str, int]] | None = None,
                  policy: RouterPolicy | None = None,
-                 metrics: RouterMetrics | None = None,
                  seed: int | None = None) -> None:
         if (pool is None) == (endpoints is None):
             raise ValueError("pass exactly one of pool= or endpoints=")
         self.pool = pool
         self.policy = policy or RouterPolicy()
-        self.metrics = metrics or RouterMetrics()
+        self.metrics = metrics = RouterMetrics()
+        # Retries should absorb worker failures: under chaos retries_total
+        # and failovers_total (answered by a later replica) move, and
+        # exhausted_total (the router answered 502/503 itself) stays 0.
+        self._m = SimpleNamespace(
+            requests=metrics.counter("requests_total"),
+            failovers=metrics.counter("failovers_total"),
+            exhausted=metrics.counter("exhausted_total"),
+            breaker_trips=metrics.counter("breaker_trips_total"),
+            # Each skip is a connect timeout the router did not pay.
+            breaker_skips=metrics.counter("breaker_skips_total"),
+            probe_failures=metrics.counter("probe_failures_total"),
+            forwards=metrics.labelled("forwards_by_worker"),
+            latency_ms=metrics.window("latency_ms"))
+        # Recorded by RouterMetrics.record_retry; bound here to read 0 early.
+        metrics.labelled("failures_by_worker", total="retries_total")
         if pool is not None:
             endpoints = [(spec.worker_id, spec.host, spec.port)
                          for spec in pool.specs()]
@@ -429,67 +454,42 @@ class Router:
         return (200 if any_routable else 503), body
 
     def metrics_body(self) -> dict[str, Any]:
-        verify, sched = self._aggregate_worker_metrics()
         return {
             "router": self.metrics.snapshot(),
             "workers": [client.info() for client in self._clients],
             "pool": self.pool.snapshot() if self.pool is not None else None,
-            "verify": verify,
-            "sched": sched,
+            **self._worker_views(),
         }
 
-    def _aggregate_worker_metrics(self) -> tuple[dict[str, Any], dict[str, Any]]:
-        """Pool-wide verification and continuous-batching counters, summed
-        across live workers (one ``/metrics`` fetch per worker feeds both).
+    def _worker_views(self) -> dict[str, dict[str, Any]]:
+        """The pool-wide ``verify`` and ``sched`` views: the ``verify_*``
+        and ``sched_*`` keys of the :func:`merge` of every worker's
+        ``/metrics``.
 
         Best-effort by design: a worker that cannot answer ``/metrics``
         inside the health timeout is counted in ``workers_unreachable``
-        rather than failing the router's own metrics route.
+        rather than failing the router's own metrics route.  A fresh
+        worker registry seeds the merge, so every key reads zero while no
+        worker reports.
         """
-        verify_total = 0
-        by_verdict: dict[str, int] = {}
-        sched_totals = {"sched_steps_total": 0, "sched_joins_total": 0,
-                        "sched_retires_total": 0, "sched_starvation_total": 0}
-        occupancy_weight = 0.0
-        occupancy_steps = 0
-        reached = unreachable = 0
+        snapshots = [_idle_worker_metrics()]
         for client in self._clients:
             try:
                 outcome = self._request(
                     client, "GET", "/metrics", None,
                     connect_timeout=self.policy.health_timeout,
                     read_timeout=self.policy.health_timeout)
-                if outcome.status != 200:
-                    raise OSError(f"HTTP {outcome.status}")
-                snapshot = json.loads(outcome.body)
+                if outcome.status == 200:
+                    snapshots.append(json.loads(outcome.body))
             except Exception:  # noqa: BLE001 — degraded workers stay countable
-                unreachable += 1
-                continue
-            reached += 1
-            verify_total += int(snapshot.get("verify_total", 0))
-            for verdict, count in (snapshot.get("verify_by_verdict")
-                                   or {}).items():
-                by_verdict[verdict] = by_verdict.get(verdict, 0) + int(count)
-            for key in sched_totals:
-                sched_totals[key] += int(snapshot.get(key, 0))
-            # Pool occupancy is the step-weighted mean of each worker's
-            # windowed mean — workers that stepped more count for more.
-            steps = int(snapshot.get("sched_steps_total", 0))
-            occupancy_weight += (float(snapshot.get("sched_occupancy_mean",
-                                                    0.0)) * steps)
-            occupancy_steps += steps
-        verify = {
-            "verify_total": verify_total,
-            "verify_by_verdict": by_verdict,
-            "workers_reporting": reached,
-            "workers_unreachable": unreachable,
-        }
-        sched = dict(sched_totals)
-        sched["sched_occupancy_mean"] = (occupancy_weight / occupancy_steps
-                                         if occupancy_steps else 0.0)
-        sched["workers_reporting"] = reached
-        sched["workers_unreachable"] = unreachable
-        return verify, sched
+                pass
+        merged = merge(snapshots)
+        reporting = len(snapshots) - 1
+        reach = {"workers_reporting": reporting,
+                 "workers_unreachable": len(self._clients) - reporting}
+        return {view: {**{key: value for key, value in merged.items()
+                          if key.startswith(f"{view}_")}, **reach}
+                for view in ("verify", "sched")}
 
     # ---------------------------------------------------------- dispatch core
 
@@ -593,6 +593,20 @@ class Router:
         finally:
             conn.close()
 
+    def _forwarded(self, client: WorkerClient, started: float, *,
+                   attempt: int) -> None:
+        """One request answered by ``client`` on 0-based ``attempt``."""
+        m = self._m
+        m.requests.inc()
+        m.forwards.inc(client.worker_id)
+        m.latency_ms.record((time.monotonic() - started) * 1000.0)
+        if attempt > 0:
+            m.failovers.inc()
+
+    def _exhausted(self) -> None:
+        self._m.requests.inc()
+        self._m.exhausted.inc()
+
     def _sleep_backoff(self, attempt: int) -> None:
         delay = min(self.policy.backoff_base * (2 ** (attempt - 1)),
                     self.policy.backoff_max)
@@ -604,7 +618,7 @@ class Router:
         client.healthy = False
         client.last_error = f"{type(exc).__name__}: {exc}"
         if client.breaker.record_failure():
-            self.metrics.record_breaker_trip()
+            self._m.breaker_trips.inc()
         self.metrics.record_retry(client.worker_id)
 
     def dispatch(self, method: str, path: str, raw_body: bytes | None,
@@ -628,7 +642,7 @@ class Router:
             if attempts >= self.policy.max_attempts:
                 break
             if not client.breaker.allow():
-                self.metrics.record_breaker_skip()
+                self._m.breaker_skips.inc()
                 continue
             if attempts:
                 self._sleep_backoff(attempts)
@@ -659,11 +673,9 @@ class Router:
                 return outcome
             client.breaker.record_success()
             client.healthy = True
-            self.metrics.record_forward(
-                client.worker_id, (time.monotonic() - started) * 1000.0,
-                attempt=attempts - 1)
+            self._forwarded(client, started, attempt=attempts - 1)
             return outcome
-        self.metrics.record_exhausted()
+        self._exhausted()
         if last_retryable is not None:
             return last_retryable
         return _error_outcome(ApiError.unavailable(
@@ -678,6 +690,7 @@ class Router:
         No failover — the job's WAL lives in this worker — so retries stay
         on the pinned worker, riding out a supervisor respawn.
         """
+        started = time.monotonic()
         for attempt in range(self.policy.max_attempts):
             if attempt:
                 self._sleep_backoff(attempt)
@@ -693,9 +706,9 @@ class Router:
                 continue
             client.breaker.record_success()
             client.healthy = True
-            self.metrics.record_forward(client.worker_id, 0.0, attempt=0)
+            self._forwarded(client, started, attempt=0)
             return outcome
-        self.metrics.record_exhausted()
+        self._exhausted()
         return _error_outcome(ApiError.unavailable(
             f"worker {client.worker_id} is restarting; its jobs resume from "
             f"the WAL — retry shortly", retry_after=2.0))
@@ -726,12 +739,13 @@ class Router:
         rotation = candidates[offset % len(candidates):] \
             + candidates[:offset % len(candidates)]
         rotation.sort(key=lambda client: client.inflight)
+        started = time.monotonic()
         attempts = 0
         for client in rotation:
             if attempts >= self.policy.max_attempts:
                 break
             if not client.breaker.allow():
-                self.metrics.record_breaker_skip()
+                self._m.breaker_skips.inc()
                 continue
             attempts += 1
             client.begin()
@@ -758,12 +772,11 @@ class Router:
                 continue
             client.breaker.record_success()
             client.healthy = True
-            self.metrics.record_forward(client.worker_id, 0.0,
-                                        attempt=attempts - 1)
+            self._forwarded(client, started, attempt=attempts - 1)
             if outcome.status == 202:
                 outcome.body = _prefix_job_id(outcome.body, client.worker_id)
             return outcome
-        self.metrics.record_exhausted()
+        self._exhausted()
         return _error_outcome(ApiError.unavailable(
             "no worker accepted the job submit; retry", retry_after=1.0))
 
@@ -914,7 +927,7 @@ class Router:
             if client.healthy:
                 client.last_error = f"probe: {type(exc).__name__}: {exc}"
             client.healthy = False
-            self.metrics.record_probe_failure()
+            self._m.probe_failures.inc()
             return False
         if outcome.status == 200:
             client.healthy = True

@@ -49,12 +49,14 @@ import time
 from collections import Counter, deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable
 
 import numpy as np
 
 from ..model.decoding import DecodingStrategy, RowDecodeState
 from ..model.generation import ContinuousDecoderLoop
+from .metrics import Metrics
 
 #: ``on_token`` callback: called with each emitted token id as the request's
 #: rows decode (beam replays the winner at retirement).
@@ -248,9 +250,10 @@ class ContinuousScheduler:
     """
 
     def __init__(self, *, policy: SchedulerPolicy | None = None,
-                 metrics: Any | None = None) -> None:
+                 metrics: Metrics | None = None) -> None:
         self.policy = policy or SchedulerPolicy()
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else Metrics()
+        self._m = self.bind_metrics(self.metrics)
         self._queue: deque[SchedWork] = deque()
         self._cond = threading.Condition()
         self._closed = False
@@ -263,6 +266,24 @@ class ContinuousScheduler:
         self._worker = threading.Thread(target=self._run,
                                         name="continuous-sched", daemon=True)
         self._worker.start()
+
+    @staticmethod
+    def bind_metrics(metrics: Metrics) -> SimpleNamespace:
+        """This scheduler's instruments on ``metrics``.  A batch is one
+        same-config join group; occupancy is the rows a step decoded;
+        queue wait is submit → join and decode latency join → retire."""
+        return SimpleNamespace(
+            batch_sizes=metrics.labelled("batch_size_histogram",
+                                         total="batches_total"),
+            by_config=metrics.labelled("batches_by_config"),
+            batch_size=metrics.window("batch_size"),
+            decode_ms=metrics.window("decode_latency_ms"),
+            steps=metrics.counter("sched_steps_total"),
+            joins=metrics.counter("sched_joins_total"),
+            retires=metrics.counter("sched_retires_total"),
+            starvation=metrics.counter("sched_starvation_total"),
+            occupancy=metrics.window("sched_occupancy"),
+            queue_wait_ms=metrics.window("sched_queue_wait_ms"))
 
     # ------------------------------------------------------------------- api
 
@@ -328,12 +349,13 @@ class ContinuousScheduler:
                 joins += rows
                 if rows:
                     joined_by_config[work.strategy.canonical()] += 1
-            if self.metrics is not None:
-                # Each same-config join group counts as one batch, which
-                # keeps the batches_total / batches_by_config dashboards
-                # populated.
-                for label, count in joined_by_config.items():
-                    self.metrics.record_batch(count, label)
+            m = self._m
+            for label, size in joined_by_config.items():
+                m.batch_sizes.inc(size)
+                m.batch_size.record(size)
+                m.by_config.inc((label, "batches"))
+                m.by_config.inc((label, "requests"), size)
+                m.by_config.inc((label, "batch_size_histogram", size))
             batch = self._batch
             if batch is None or not batch.num_requests:
                 continue
@@ -342,12 +364,12 @@ class ContinuousScheduler:
             except Exception as exc:  # noqa: BLE001 — poison the batch, keep serving
                 self._poison(exc)
                 continue
-            if self.metrics is not None:
-                # Occupancy is the rows the step decoded (before retires).
-                occupancy = batch.num_rows + sum(
-                    slot.state.rows for slot in finished)
-                self.metrics.record_sched_step(occupancy, joins=joins,
-                                               retires=len(finished))
+            m.steps.inc()
+            m.joins.inc(joins)
+            m.retires.inc(len(finished))
+            # Occupancy is the rows the step decoded (before retires).
+            m.occupancy.record(batch.num_rows + sum(
+                slot.state.rows for slot in finished))
             for slot in finished:
                 self._resolve(slot)
 
@@ -406,8 +428,7 @@ class ContinuousScheduler:
                 if self._head_bypassed >= self.policy.starvation_limit:
                     if not self._head_starved:
                         self._head_starved = True
-                        if self.metrics is not None:
-                            self.metrics.record_sched_starvation()
+                        self._m.starvation.inc()
                     # Hold every free row for the head: admit nothing past it.
                     break
             index += 1
@@ -440,9 +461,8 @@ class ContinuousScheduler:
                 self._batch = InflightBatch(
                     mpirical.model, sos_id=vocab.sos_id,
                     eos_id=vocab.eos_id, pad_id=vocab.pad_id)
-            if self.metrics is not None:
-                self.metrics.record_sched_wait(
-                    (time.monotonic() - work.enqueued_at) * 1000.0)
+            self._m.queue_wait_ms.record(
+                (time.monotonic() - work.enqueued_at) * 1000.0)
             if not source_ids:
                 # Nothing to attend over — the sequential decoders answer
                 # these with an empty generation without decoding at all.
@@ -470,9 +490,7 @@ class ContinuousScheduler:
         work = slot.work
         try:
             started = getattr(work, "decode_started", work.enqueued_at)
-            decode_ms = (time.monotonic() - started) * 1000.0
-            if self.metrics is not None:
-                self.metrics.record_decode(decode_ms)
+            self._m.decode_ms.record((time.monotonic() - started) * 1000.0)
             result = work.entry.ensure_loaded().package_prediction(
                 work.source_code, slot.state.result())
         except Exception as exc:  # noqa: BLE001 — surfaced to the caller

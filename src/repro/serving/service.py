@@ -65,7 +65,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from queue import SimpleQueue
 from threading import Lock, Thread
-from typing import TYPE_CHECKING, Iterator
+from types import SimpleNamespace
+from typing import Iterator
 
 from ..api import AdviseRequest, AdviseResponse, ApiError, advice_items
 from ..clang.parser import parse_source_with_diagnostics
@@ -78,11 +79,9 @@ from ..tokenization.code_tokenizer import tokenize_code
 from ..verify import Budget, VerificationReport, VerifyConfig, verify_candidates
 from ..xsbt.xsbt import xsbt_string
 from .cache import LRUCache, canonical_cache_key
-from .metrics import ServingMetrics
+from .jobs import JobPolicy, JobStore
+from .metrics import Metrics
 from .sched import ContinuousScheduler, QueueFullError, SchedulerPolicy, SchedWork
-
-if TYPE_CHECKING:  # pragma: no cover — typing only
-    from .jobs import JobPolicy, JobStore
 
 
 def anchor_result(source_code: str, result: PredictionResult) -> PredictionResult:
@@ -150,9 +149,8 @@ class InferenceService:
     def __init__(self, model: MPIRical | MPIAssistant | ModelRegistry, *,
                  max_batch_size: int = 8, cache_capacity: int = 256,
                  max_length: int | None = None,
-                 metrics_window: int = 1024,
                  registry_root: "str | Path | None" = None,
-                 job_policy: "JobPolicy | None" = None) -> None:
+                 job_policy: JobPolicy | None = None) -> None:
         if isinstance(model, ModelRegistry):
             self.registry = model
         else:
@@ -163,7 +161,10 @@ class InferenceService:
                              if registry_root is not None else None)
         self._job_policy = job_policy
         self.max_length = max_length
-        self.metrics_ = ServingMetrics(window=metrics_window)
+        self.metrics_ = Metrics()
+        self._m = self.bind_metrics(self.metrics_)
+        # The job store opens lazily; its counters read zero until then.
+        JobStore.bind_metrics(self.metrics_)
         self.cache = LRUCache(cache_capacity) if cache_capacity > 0 else None
         #: Verification results keyed by ``<decode cache key>|verify:<options>``
         #: — a repeat verified request replays both the decode *and* the
@@ -181,8 +182,25 @@ class InferenceService:
         self._closed = False
         self._draining = False
 
+    @staticmethod
+    def bind_metrics(metrics: Metrics) -> SimpleNamespace:
+        """The request-path instruments on ``metrics``.  Coalesced requests
+        are cache hits (they skipped the model); verification has its own
+        window because its cost is simulation-bound, not model-bound."""
+        return SimpleNamespace(
+            hits=metrics.counter("cache_hits"),
+            misses=metrics.counter("cache_misses"),
+            errors=metrics.counter("errors_total"),
+            streams=metrics.counter("streams_total"),
+            by_model=metrics.labelled("requests_by_model",
+                                      total="requests_total"),
+            latency_ms=metrics.window("latency_ms"),
+            verdicts=metrics.labelled("verify_by_verdict",
+                                      total="verify_total"),
+            verify_ms=metrics.window("verify_latency_ms"))
+
     @property
-    def jobs(self) -> "JobStore":
+    def jobs(self) -> JobStore:
         """The async batch-job store (:class:`repro.serving.jobs.JobStore`),
         created on first use and closed with the service.
 
@@ -199,14 +217,12 @@ class InferenceService:
                     raise ApiError.unavailable(
                         "the service is shutting down; retry against a "
                         "healthy replica")
-                from .jobs import JobStore
-
                 self._jobs = JobStore(self, policy=self._job_policy,
                                       log_dir=self._job_log_dir,
                                       metrics=self.metrics_)
             return self._jobs
 
-    def job_store(self) -> "JobStore | None":
+    def job_store(self) -> JobStore | None:
         """The job store if one has been created, else ``None`` — a
         peek that (unlike :attr:`jobs`) never opens the WAL or starts the
         worker thread; used by ``/metrics`` and ``/healthz``.
@@ -357,7 +373,7 @@ class InferenceService:
             hit = self.verify_cache.get(verify_key)
             if hit is not None:
                 status, payload, generated_code, advice, diagnostics = hit
-                self.metrics_.record_verify(
+                self._record_verify(
                     (time.perf_counter() - start) * 1000.0, status)
                 return replace(response, generated_code=generated_code,
                                advice=advice, diagnostics=diagnostics,
@@ -382,8 +398,8 @@ class InferenceService:
                                    advice=advice_items(session),
                                    diagnostics=tuple(session.parse_diagnostics))
         verified = replace(verified, verification=payload)
-        self.metrics_.record_verify((time.perf_counter() - start) * 1000.0,
-                                    report.status)
+        self._record_verify((time.perf_counter() - start) * 1000.0,
+                            report.status)
         if report.status != "skipped" and self.verify_cache is not None:
             self.verify_cache.put(verify_key, (
                 report.status, payload, verified.generated_code,
@@ -521,7 +537,7 @@ class InferenceService:
                                         verify_requested=request.verify is not None)
                 return
             else:
-                self.metrics_.record_error()
+                self._m.errors.inc()
                 raise payload
 
     # --------------------------------------------------------- in-process api
@@ -545,6 +561,9 @@ class InferenceService:
         """Operational snapshot: request metrics + cache stats + queue depth
         + registry state (loaded models, default alias, per-model counters)."""
         snapshot = self.metrics_.snapshot()
+        requests = snapshot["requests_total"]
+        snapshot["cache_hit_rate"] = (snapshot["cache_hits"] / requests
+                                      if requests else 0.0)
         snapshot["cache"] = (self.cache.stats().as_dict() if self.cache is not None
                              else {"enabled": False})
         snapshot["queued_requests"] = self.sched.queue_depth()
@@ -635,10 +654,8 @@ class InferenceService:
         """Record metrics for a finished stream and build its final chunk."""
         session = build_advice_session(diagnostics, result)
         latency_ms = (time.perf_counter() - start) * 1000.0
-        self.metrics_.record_request(latency_ms, cached=cached,
-                                     model=entry.identity)
-        entry.record_request()
-        self.metrics_.record_stream()
+        self._record_request(entry, latency_ms, cached=cached)
+        self._m.streams.inc()
         verification = None
         if verify_requested:
             # Streams never block on simulation; the explicit skip marker
@@ -646,7 +663,7 @@ class InferenceService:
             verification = VerificationReport.skipped(
                 "streaming responses are not verified; "
                 "use POST /v1/advise").to_payload()
-            self.metrics_.record_verify(0.0, "skipped")
+            self._record_verify(0.0, "skipped")
         response = AdviseResponse(
             generated_code=session.generated_code,
             advice=advice_items(session),
@@ -723,7 +740,7 @@ class InferenceService:
                     with self._inflight_lock:
                         self._inflight.pop(key, None)
                     entry.release()
-                self.metrics_.record_error()
+                self._m.errors.inc()
                 response.set_exception(exc)
                 return
             if owner:
@@ -745,7 +762,7 @@ class InferenceService:
     def _resolve(self, response: Future, source_code: str, diagnostics: list,
                  result: PredictionResult, *, cached: bool, start: float,
                  key: str, strategy: DecodingStrategy,
-                 entry: ModelEntry | None = None) -> None:
+                 entry: ModelEntry) -> None:
         """Build this request's session (own anchors + diagnostics) and finish.
 
         A non-cached resolve is the owner of the decode, and the scheduler
@@ -756,13 +773,22 @@ class InferenceService:
             result = anchor_result(source_code, result)
         session = build_advice_session(diagnostics, result)
         latency_ms = (time.perf_counter() - start) * 1000.0
-        identity = entry.identity if entry is not None else None
-        self.metrics_.record_request(latency_ms, cached=cached, model=identity)
-        if entry is not None:
-            entry.record_request()
+        self._record_request(entry, latency_ms, cached=cached)
         response.set_result(ServedAdvice(session=session, cached=cached,
                                          latency_ms=latency_ms, cache_key=key,
-                                         strategy=strategy, model=identity))
+                                         strategy=strategy,
+                                         model=entry.identity))
+
+    def _record_request(self, entry: ModelEntry, latency_ms: float, *,
+                        cached: bool) -> None:
+        self._m.by_model.inc(entry.identity)
+        (self._m.hits if cached else self._m.misses).inc()
+        self._m.latency_ms.record(latency_ms)
+        entry.record_request()
+
+    def _record_verify(self, latency_ms: float, verdict: str) -> None:
+        self._m.verify_ms.record(latency_ms)
+        self._m.verdicts.inc(verdict)
 
     def _submit_sched(self, source_code: str, xsbt: str, tokens: list[str],
                       strategy: DecodingStrategy, entry: ModelEntry,

@@ -40,7 +40,7 @@ from repro.model.decoding import (
     SampleStrategy,
 )
 from repro.model.generation import ContinuousDecoderLoop
-from repro.serving import ServingMetrics
+from repro.serving import Metrics
 from repro.serving.sched import (
     ContinuousScheduler,
     InflightBatch,
@@ -443,7 +443,7 @@ def test_head_starvation_guard_holds_rows_for_the_blocked_head():
     """Unit-drive the admission policy (worker stopped): a wide head is
     bypassed at most ``starvation_limit`` passes, then the queue freezes
     until the batch drains enough for it."""
-    metrics = ServingMetrics()
+    metrics = Metrics()
     sched = ContinuousScheduler(
         policy=SchedulerPolicy(max_rows=2, starvation_limit=3),
         metrics=metrics)
@@ -512,7 +512,7 @@ def test_idle_waiting_for_retires_is_not_counted_as_starvation():
 
 
 def test_scheduler_records_step_join_wait_and_batch_metrics():
-    metrics = ServingMetrics()
+    metrics = Metrics()
     with ContinuousScheduler(policy=SchedulerPolicy(max_rows=4),
                              metrics=metrics) as sched:
         futures = [sched.submit(make_work("3 4", GreedyStrategy())),

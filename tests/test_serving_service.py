@@ -162,16 +162,17 @@ def test_metrics_report_batches_per_generation_config(service, pi_source,
 
 def test_per_config_metric_cardinality_is_bounded():
     """A client sweeping length penalties must not grow /metrics forever."""
-    from repro.serving import ServingMetrics
+    from repro.serving import Metrics
 
-    metrics = ServingMetrics()
-    for n in range(ServingMetrics.MAX_CONFIG_LABELS + 20):
-        metrics.record_batch(1, group=f"beam4:lp0.{n:04d}")
+    metrics = Metrics()
+    batches = metrics.labelled("batches_by_config")
+    for n in range(Metrics.MAX_LABELS + 20):
+        batches.inc((f"beam4:lp0.{n:04d}", "batches"))
     by_config = metrics.snapshot()["batches_by_config"]
-    assert len(by_config) <= ServingMetrics.MAX_CONFIG_LABELS + 1
+    assert len(by_config) <= Metrics.MAX_LABELS + 1
     assert by_config["other"]["batches"] == 20
     # Already-known labels keep accumulating under their own key.
-    metrics.record_batch(3, group="beam4:lp0.0000")
+    batches.inc(("beam4:lp0.0000", "batches"))
     assert metrics.snapshot()["batches_by_config"]["beam4:lp0.0000"]["batches"] == 2
 
 

@@ -11,7 +11,7 @@ import pytest
 from repro.api import AdviseRequest
 from repro.serving import InferenceService
 from repro.serving.jobs import JobStore
-from repro.serving.metrics import ServingMetrics
+from repro.serving.metrics import Metrics
 from repro.serving.router import Router, RouterPolicy
 from repro.serving.server import make_server
 
@@ -238,10 +238,12 @@ def test_job_items_with_verify_carry_verification(service):
 
 
 def test_metrics_expose_verify_counters_and_latency():
-    metrics = ServingMetrics()
-    metrics.record_verify(12.0, "verified")
-    metrics.record_verify(18.0, "failed")
-    metrics.record_verify(2.0, "skipped")
+    metrics = Metrics()
+    record = InferenceService.bind_metrics(metrics)
+    for latency_ms, verdict in ((12.0, "verified"), (18.0, "failed"),
+                                (2.0, "skipped")):
+        record.verify_ms.record(latency_ms)
+        record.verdicts.inc(verdict)
     snapshot = metrics.snapshot()
     assert snapshot["verify_total"] == 3
     assert snapshot["verify_by_verdict"] == {
@@ -251,11 +253,12 @@ def test_metrics_expose_verify_counters_and_latency():
 
 
 def test_verify_verdict_cardinality_is_capped():
-    metrics = ServingMetrics()
-    for index in range(ServingMetrics.MAX_CONFIG_LABELS + 10):
-        metrics.record_verify(1.0, f"verdict-{index}")
+    metrics = Metrics()
+    verdicts = InferenceService.bind_metrics(metrics).verdicts
+    for index in range(Metrics.MAX_LABELS + 10):
+        verdicts.inc(f"verdict-{index}")
     by_verdict = metrics.snapshot()["verify_by_verdict"]
-    assert len(by_verdict) <= ServingMetrics.MAX_CONFIG_LABELS + 1
+    assert len(by_verdict) <= Metrics.MAX_LABELS + 1
     assert by_verdict["other"] >= 10
 
 

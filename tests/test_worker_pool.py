@@ -439,6 +439,42 @@ def test_exhausted_dispatch_answers_503_with_retry_after():
     assert router.metrics.snapshot()["exhausted_total"] == 1
 
 
+class _SlowStub(_LiveStub):
+    """A worker that takes 20 ms to answer every GET and POST."""
+
+    def do_GET(self) -> None:  # noqa: N802
+        time.sleep(0.02)
+        self.do_POST()
+
+    def do_POST(self) -> None:  # noqa: N802
+        time.sleep(0.02)
+        super().do_POST()
+
+
+def test_pinned_and_submit_dispatches_record_their_latency():
+    """Job polls and job submits land in the router's latency window with
+    the time they took, not as zeros."""
+    slow = ThreadingHTTPServer(("127.0.0.1", 0), _SlowStub)
+    slow.daemon_threads = True
+    threading.Thread(target=slow.serve_forever, daemon=True).start()
+    router = Router(endpoints=[("w0", "127.0.0.1", slow.server_address[1])],
+                    policy=RouterPolicy(health_interval=0.0))
+    try:
+        for _ in range(5):
+            outcome = router.dispatch_pinned(router.client("w0"), "GET",
+                                             "/v1/jobs/job-1", None)
+            assert outcome.status == 200
+        snapshot = router.metrics.snapshot()
+        assert snapshot["latency_window"] == 5
+        assert snapshot["latency_ms_p50"] >= 15.0
+        outcome = router.dispatch_submit(b"{}")
+        assert outcome.status == 200
+        assert router.metrics.snapshot()["latency_ms_max"] >= 15.0
+    finally:
+        slow.shutdown()
+        slow.server_close()
+
+
 # --------------------------------------------------------------------------
 # fleet: jobs
 
