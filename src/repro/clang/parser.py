@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from . import ast_nodes as ast
 from .errors import ParseDiagnostic, ParseError
-from .lexer import Lexer
+from .lexer import code_tokens, tokenize
 from .tokens import Token, TokenKind, TokenStream
 
 #: Base type keywords that can start a declaration.
@@ -680,35 +680,28 @@ class Parser:
 # ------------------------------------------------------------------ helpers
 
 
+def _parse(tokens: list[Token], *, tolerant: bool,
+           ) -> tuple[ast.TranslationUnit, list[ParseDiagnostic]]:
+    directives = [t for t in tokens if t.kind is TokenKind.DIRECTIVE]
+    parser = Parser(TokenStream(code_tokens(tokens)), tolerant=tolerant,
+                    directives=directives)
+    return parser.parse(), parser.diagnostics
+
+
 def parse_source(source: str, *, tolerant: bool = True) -> ast.TranslationUnit:
     """Lex and parse ``source`` into a translation unit."""
-    lexer = Lexer(source, keep_comments=True)
-    all_tokens = lexer.tokenize()
-    directives = [t for t in all_tokens if t.kind is TokenKind.DIRECTIVE]
-    relevant = [
-        t for t in all_tokens
-        if t.kind not in (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.DIRECTIVE,
-                          TokenKind.ERROR)
-    ]
-    parser = Parser(TokenStream(relevant), tolerant=tolerant, directives=directives)
-    return parser.parse()
+    return _parse(tokenize(source), tolerant=tolerant)[0]
 
 
 def parse_source_with_diagnostics(
-    source: str,
+    source: str, *, lexed: list[Token] | None = None,
 ) -> tuple[ast.TranslationUnit, list[ParseDiagnostic]]:
-    """Parse tolerantly and also return the diagnostics produced."""
-    lexer = Lexer(source, keep_comments=True)
-    all_tokens = lexer.tokenize()
-    directives = [t for t in all_tokens if t.kind is TokenKind.DIRECTIVE]
-    relevant = [
-        t for t in all_tokens
-        if t.kind not in (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.DIRECTIVE,
-                          TokenKind.ERROR)
-    ]
-    parser = Parser(TokenStream(relevant), tolerant=True, directives=directives)
-    unit = parser.parse()
-    return unit, parser.diagnostics
+    """Parse tolerantly and also return the diagnostics produced.
+
+    ``lexed`` is ``tokenize(source)`` when the caller already lexed the
+    buffer (the serving front end lexes once for the parser and the model).
+    """
+    return _parse(tokenize(source) if lexed is None else lexed, tolerant=True)
 
 
 def parses_cleanly(source: str) -> bool:

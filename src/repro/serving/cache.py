@@ -33,9 +33,31 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable
 
+from ..clang.errors import ParseDiagnostic
+from ..clang.lexer import tokenize
 from ..clang.parser import parse_source_with_diagnostics
 from ..tokenization.code_tokenizer import tokenize_code
 from ..xsbt.xsbt import xsbt_string
+
+
+@dataclass(frozen=True)
+class FrontEnd:
+    """What one request needs from the C front end: the parse diagnostics
+    (layout-dependent, re-anchored per request) and the two canonical
+    components of the cache key."""
+
+    diagnostics: list[ParseDiagnostic]
+    xsbt: str
+    tokens: list[str]
+
+
+def front_end(source_code: str) -> FrontEnd:
+    """Lex ``source_code`` once; the parser and the model tokens both read
+    that one token list."""
+    lexed = tokenize(source_code)
+    unit, diagnostics = parse_source_with_diagnostics(source_code, lexed=lexed)
+    return FrontEnd(diagnostics, xsbt_string(unit),
+                    tokenize_code(source_code, lexed=lexed))
 
 
 def canonical_cache_key(source_code: str, xsbt: str | None = None, *,
@@ -43,9 +65,9 @@ def canonical_cache_key(source_code: str, xsbt: str | None = None, *,
                         strategy=None, model: str | None = None) -> str:
     """Hash ``source_code`` into its canonical serving-cache key.
 
-    ``xsbt`` and ``tokens`` skip re-deriving the xSBT / re-lexing the buffer
-    when the caller already parsed it (the service computes both once per
-    request, so the key costs no extra lexer pass on the hot path).
+    ``xsbt`` and ``tokens`` are the buffer's :class:`FrontEnd` components
+    when the caller already has them (the service needs the diagnostics
+    too, so it runs :func:`front_end` itself); otherwise the key runs it.
 
     The decoding settings that change the *model output* are part of the
     key via the strategy's **canonical serialized form**
@@ -65,11 +87,10 @@ def canonical_cache_key(source_code: str, xsbt: str | None = None, *,
     """
     from ..model.decoding import GreedyStrategy
 
-    if xsbt is None:
-        unit, _ = parse_source_with_diagnostics(source_code)
-        xsbt = xsbt_string(unit)
-    if tokens is None:
-        tokens = tokenize_code(source_code)
+    if xsbt is None or tokens is None:
+        front = front_end(source_code)
+        xsbt = front.xsbt if xsbt is None else xsbt
+        tokens = front.tokens if tokens is None else tokens
     if strategy is None:
         strategy = GreedyStrategy()
     digest = hashlib.sha256()

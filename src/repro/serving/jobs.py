@@ -371,10 +371,6 @@ class JobStore:
                 f"evicted (TTL/capacity); submit the work again if needed")
         raise ApiError.not_found(f"unknown job {job_id!r}")
 
-    def jobs(self) -> list[Job]:
-        with self._lock:
-            return list(self._jobs.values())
-
     def close(self, *, wait: bool = True, timeout: float | None = None) -> bool:
         """Stop accepting jobs; the worker drains the queue, then exits.
 

@@ -304,12 +304,6 @@ class ContinuousScheduler:
             self._cond.notify_all()
         return work.future
 
-    def pending(self) -> int:
-        """Requests queued or in flight (decode not yet finished)."""
-        with self._cond:
-            inflight = self._batch.num_requests if self._batch else 0
-            return len(self._queue) + inflight
-
     def queue_depth(self) -> int:
         with self._cond:
             return len(self._queue)

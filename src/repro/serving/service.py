@@ -75,10 +75,8 @@ from ..mpirical.assistant import AdviceSession, MPIAssistant, build_advice_sessi
 from ..mpirical.pipeline import MPIRical, PredictionResult
 from ..mpirical.suggestions import extract_suggestions
 from ..registry import ModelEntry, ModelRegistry, RegistryError
-from ..tokenization.code_tokenizer import tokenize_code
 from ..verify import Budget, VerificationReport, VerifyConfig, verify_candidates
-from ..xsbt.xsbt import xsbt_string
-from .cache import LRUCache, canonical_cache_key
+from .cache import LRUCache, canonical_cache_key, front_end
 from .jobs import JobPolicy, JobStore
 from .metrics import Metrics
 from .sched import ContinuousScheduler, QueueFullError, SchedulerPolicy, SchedWork
@@ -471,10 +469,8 @@ class InferenceService:
         start = time.perf_counter()
         vocab = entry.ensure_loaded().encoder.vocab
 
-        unit, diagnostics = parse_source_with_diagnostics(request.code)
-        xsbt = xsbt_string(unit)
-        tokens = tokenize_code(request.code)
-        key = canonical_cache_key(request.code, xsbt, tokens=tokens,
+        front = front_end(request.code)
+        key = canonical_cache_key(request.code, front.xsbt, tokens=front.tokens,
                                   strategy=strategy, model=entry.identity)
 
         cached = self.cache.get(key) if self.cache is not None else None
@@ -482,7 +478,7 @@ class InferenceService:
             result = anchor_result(request.code, cached)
             for index, token in enumerate(result.generated_tokens):
                 yield {"type": "token", "index": index, "token": token}
-            yield self._final_chunk(request.code, diagnostics, result,
+            yield self._final_chunk(request.code, front.diagnostics, result,
                                     strategy=strategy, cached=True,
                                     start=start, key=key, entry=entry,
                                     echo_model=echo_model,
@@ -507,8 +503,8 @@ class InferenceService:
                 chunks.put(("error", exc))
                 return
             try:
-                result = self._submit_sched(request.code, xsbt, tokens,
-                                            strategy, entry,
+                result = self._submit_sched(request.code, front.xsbt,
+                                            front.tokens, strategy, entry,
                                             on_token=on_token).result()
                 # Cache here, on the worker: a completed decode must not be
                 # discarded just because the streaming client disconnected
@@ -530,7 +526,7 @@ class InferenceService:
                 yield {"type": "token", "index": index, "token": payload}
                 index += 1
             elif kind == "done":
-                yield self._final_chunk(request.code, diagnostics, payload,
+                yield self._final_chunk(request.code, front.diagnostics, payload,
                                         strategy=strategy, cached=False,
                                         start=start, key=key, entry=entry,
                                         echo_model=echo_model,
@@ -692,16 +688,14 @@ class InferenceService:
         if entry is None:
             entry = self._resolve_entry(None)
 
-        unit, diagnostics = parse_source_with_diagnostics(source_code)
-        xsbt = xsbt_string(unit)
-        tokens = tokenize_code(source_code)
-        key = canonical_cache_key(source_code, xsbt, tokens=tokens,
+        front = front_end(source_code)
+        key = canonical_cache_key(source_code, front.xsbt, tokens=front.tokens,
                                   strategy=strategy, model=entry.identity)
 
         if self.cache is not None:
             hit = self.cache.get(key)
             if hit is not None:
-                self._resolve(response, source_code, diagnostics, hit,
+                self._resolve(response, source_code, front.diagnostics, hit,
                               cached=True, start=start, key=key,
                               strategy=strategy, entry=entry)
                 return response
@@ -720,14 +714,15 @@ class InferenceService:
                 if late_hit is None:
                     entry.acquire()
                     try:
-                        inflight = self._submit_sched(source_code, xsbt,
-                                                      tokens, strategy, entry)
+                        inflight = self._submit_sched(
+                            source_code, front.xsbt, front.tokens, strategy,
+                            entry)
                     except BaseException:
                         entry.release()
                         raise
                     self._inflight[key] = inflight
         if late_hit is not None:
-            self._resolve(response, source_code, diagnostics, late_hit,
+            self._resolve(response, source_code, front.diagnostics, late_hit,
                           cached=True, start=start, key=key,
                           strategy=strategy, entry=entry)
             return response
@@ -752,7 +747,7 @@ class InferenceService:
                 with self._inflight_lock:
                     self._inflight.pop(key, None)
                 entry.release()
-            self._resolve(response, source_code, diagnostics, result,
+            self._resolve(response, source_code, front.diagnostics, result,
                           cached=not owner, start=start, key=key,
                           strategy=strategy, entry=entry)
 

@@ -15,9 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..clang.lexer import code_token_texts
+from ..clang.lexer import tokenize
+from ..clang.tokens import Token, TokenKind
 from ..dataset.records import TranslationExample
 from .vocab import EOS, SEP, SOS, Vocabulary
+
+#: Lexer tokens the model never sees.
+_NOT_MODEL = (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.ERROR, TokenKind.EOF)
 
 
 @dataclass
@@ -43,29 +47,20 @@ class SequenceConfig:
     max_target_tokens: int = 360
 
 
-def tokenize_code(code: str) -> list[str]:
+def tokenize_code(code: str, *, lexed: list[Token] | None = None) -> list[str]:
     """Tokenise C source into the word-level tokens the model consumes.
 
     Unlike :func:`repro.clang.lexer.code_token_texts` (which implements the
     paper's 320-token *filter* count), the model tokenisation keeps
     preprocessor directives as single tokens: the decoder reproduces the whole
     file, and keeping the ``#include`` lines preserves the line numbering that
-    the location evaluation (RQ2) depends on.
+    the location evaluation (RQ2) depends on.  ``lexed`` is
+    ``tokenize(code)`` when the caller already lexed the buffer.
     """
-    from ..clang.lexer import Lexer
-    from ..clang.tokens import TokenKind
-
-    tokens = Lexer(code, keep_comments=False).tokenize()
-    out: list[str] = []
-    for token in tokens:
-        if token.kind in (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.ERROR,
-                          TokenKind.EOF):
-            continue
-        if token.kind is TokenKind.DIRECTIVE:
-            out.append(token.text.strip())
-        else:
-            out.append(token.text)
-    return out
+    if lexed is None:
+        lexed = tokenize(code, keep_comments=False)
+    return [token.text.strip() if token.kind is TokenKind.DIRECTIVE else token.text
+            for token in lexed if token.kind not in _NOT_MODEL]
 
 
 def tokenize_xsbt(xsbt: str) -> list[str]:

@@ -1,6 +1,10 @@
 """Tests for the C lexer."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clang.errors import LexError
 from repro.clang.lexer import Lexer, code_token_texts, tokenize
@@ -137,3 +141,88 @@ class TestCodeTokenTexts:
 
     def test_empty_source(self):
         assert code_token_texts("") == []
+
+
+def _pairs(source, **kwargs):
+    return [(t.kind, t.text, t.line, t.column) for t in tokenize(source, **kwargs)]
+
+
+K = TokenKind
+
+
+class TestPinnedCorners:
+    """Corners of the token stream that are pinned exactly: each one is easy to
+    move by accident, and a moved token moves the serving cache key."""
+
+    def test_exponent_marker_at_end_of_input_stays_in_the_number(self):
+        assert _pairs("1e") == [(K.NUMBER, "1e", 1, 1), (K.EOF, "", 1, 3)]
+        assert _pairs("1e+") == [(K.NUMBER, "1e+", 1, 1), (K.EOF, "", 1, 4)]
+
+    def test_exponent_marker_before_other_text_is_an_identifier(self):
+        assert _pairs("1e;")[:3] == [(K.NUMBER, "1", 1, 1), (K.IDENTIFIER, "e", 1, 2),
+                                     (K.PUNCT, ";", 1, 3)]
+        assert [t.text for t in tokenize("1e-x 2E5f")][:4] == ["1e-", "x", "2E5f", ""]
+
+    def test_backslash_newline_continues_a_directive(self):
+        assert _pairs("#define X \\\n 1\nint a;")[:3] == [
+            (K.DIRECTIVE, "#define X \\\n 1", 1, 1),
+            (K.NEWLINE, "\n", 2, 3),
+            (K.KEYWORD, "int", 3, 1),
+        ]
+
+    def test_backslash_newline_inside_a_string(self):
+        assert _pairs('"ab\\\ncd" x')[:2] == [
+            (K.STRING, '"ab\\\ncd"', 1, 1),
+            (K.IDENTIFIER, "x", 2, 5),
+        ]
+
+    def test_unterminated_block_comment_runs_to_the_end(self):
+        assert _pairs("a /* open\nstill") == [
+            (K.IDENTIFIER, "a", 1, 1), (K.COMMENT, "/* open\nstill", 1, 3),
+            (K.EOF, "", 2, 6)]
+        with pytest.raises(LexError, match="unterminated block comment"):
+            tokenize("a /* open\nstill", strict=True)
+
+    def test_unterminated_string_stops_at_the_line_end(self):
+        assert _pairs('"open\nx')[:3] == [
+            (K.STRING, '"open', 1, 1), (K.NEWLINE, "\n", 1, 6), (K.IDENTIFIER, "x", 2, 1)]
+        assert _pairs("'c\\") == [(K.CHAR, "'c\\", 1, 1), (K.EOF, "", 1, 4)]
+        with pytest.raises(LexError, match="unterminated"):
+            tokenize('"open\nx', strict=True)
+
+    def test_leading_dot_number_bare_hex_prefix_and_form_feed(self):
+        assert _pairs(".5 0x\f")[:4] == [
+            (K.NUMBER, ".5", 1, 1), (K.NUMBER, "0x", 1, 4), (K.ERROR, "\f", 1, 6),
+            (K.EOF, "", 1, 7)]
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize("\f", strict=True)
+
+    def test_punctuators_take_the_longest_match(self):
+        assert [t.text for t in tokenize("a<<=b...c->d")][:-1] == [
+            "a", "<<=", "b", "...", "c", "->", "d"]
+
+
+_BLANKS = re.compile(r"[ \t\r]*")
+_FRAGMENTS = ("int", " ", "\t", "\r", "\n", "x1", "_y", "0x", "1e", ".5", "3.", "e",
+              "+", "-", "<<=", ".", "/", "*", "//", "/*", "*/", "#", "\\", '"', "'",
+              "\f", "@", "é", "{", "}", ";")
+_C_TEXT = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join),
+    st.text(alphabet="ax09eE.+-/*#\\\"' \t\r\n\f<>=;@", max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_C_TEXT)
+def test_tokens_and_skipped_blanks_reassemble_the_source(source):
+    """Token texts plus the skipped ``[ \\t\\r]`` runs are the source, and each
+    token's (line, column) is the position of its offset."""
+    pos = 0
+    for token in tokenize(source):
+        pos = _BLANKS.match(source, pos).end()
+        assert source.startswith(token.text, pos)
+        line = source.count("\n", 0, pos) + 1
+        column = pos - source.rfind("\n", 0, pos)
+        assert (token.line, token.column) == (line, column), token
+        pos += len(token.text)
+    assert pos == len(source)

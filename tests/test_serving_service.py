@@ -231,3 +231,58 @@ def test_close_is_idempotent(tiny_model):
     svc = InferenceService(tiny_model, cache_capacity=4, max_length=FAST)
     svc.close()
     svc.close()
+
+
+# ---------------------------------------------------------- one lex per request
+
+
+@pytest.fixture
+def lexes(monkeypatch):
+    """Count the lexer runs per buffer text while the test runs."""
+    from collections import Counter
+
+    from repro.clang.lexer import Lexer
+
+    counts: Counter = Counter()
+    tokenize = Lexer.tokenize
+
+    def counting(self):
+        counts[self.source] += 1
+        return tokenize(self)
+
+    monkeypatch.setattr(Lexer, "tokenize", counting)
+    return counts
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["miss", "hit"])
+def test_advise_lexes_the_body_once(service, lexes, cached):
+    body = f"int main() {{ int lex_once_advise_{cached} = 3; return 0; }}"
+    if cached:
+        service.advise(body, timeout=120)
+        lexes.clear()
+    assert service.advise(body, timeout=120).cached is cached
+    assert lexes[body] == 1
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["miss", "hit"])
+def test_advise_stream_lexes_the_body_once(service, lexes, cached):
+    from repro.api import AdviseRequest
+
+    body = f"int main() {{ int lex_once_stream_{cached} = 5; return 0; }}"
+    if cached:
+        service.advise(body, timeout=120)
+        lexes.clear()
+    chunks = list(service.advise_stream(AdviseRequest(code=body)))
+    assert chunks[-1]["response"]["cached"] is cached
+    assert lexes[body] == 1
+
+
+def test_router_affinity_key_lexes_the_body_once(lexes):
+    import json
+
+    from repro.serving.router import Router
+
+    body = "int main() { int lex_once_router = 7; return 0; }"
+    raw = json.dumps({"code": body, "strategy": {"name": "greedy"}}).encode()
+    Router._derive_affinity_key(raw)
+    assert lexes[body] == 1
