@@ -48,7 +48,7 @@ MAX_LENGTH = 120
 BEAM = BeamStrategy(beam_size=4, length_penalty=0.6)
 SAMPLE = SampleStrategy(temperature=0.8, top_k=16, top_p=0.95, seed=1234)
 #: Timed sequential/batched pairs per strategy (after one warm-up pair).
-PAIRS = 3
+PAIRS = 5
 
 
 def smoke_mode() -> bool:

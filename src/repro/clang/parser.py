@@ -46,8 +46,10 @@ _KNOWN_TYPEDEFS = {
 #: Assignment operators.
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
-#: Binary operator precedence (highest binds tightest).
-_BINARY_PRECEDENCE = [
+#: Binary operator -> precedence level (higher binds tighter).  Every C
+#: binary operator is left-associative; assignment and ``?:`` are parsed
+#: above this table.
+_BINARY_LEVEL = {op: level for level, ops in enumerate([
     ("||",),
     ("&&",),
     ("|",),
@@ -58,7 +60,7 @@ _BINARY_PRECEDENCE = [
     ("<<", ">>"),
     ("+", "-"),
     ("*", "/", "%"),
-]
+]) for op in ops}
 
 
 class Parser:
@@ -548,19 +550,19 @@ class Parser:
             return ast.Conditional(cond=cond, then=then, otherwise=otherwise, line=cond.line)
         return cond
 
-    def _parse_binary_expr(self, level: int) -> ast.Node:
-        if level >= len(_BINARY_PRECEDENCE):
-            return self._parse_unary_expr()
-        left = self._parse_binary_expr(level + 1)
-        ops = _BINARY_PRECEDENCE[level]
+    def _parse_binary_expr(self, min_level: int) -> ast.Node:
+        """Precedence climbing: fold operators of ``min_level`` or tighter
+        into ``left``; a right operand takes only tighter operators."""
+        left = self._parse_unary_expr()
         while True:
             tok = self.stream.peek()
-            if tok.kind is TokenKind.PUNCT and tok.text in ops:
-                self.stream.next()
-                right = self._parse_binary_expr(level + 1)
-                left = ast.BinaryOp(op=tok.text, left=left, right=right, line=left.line)
-            else:
+            level = _BINARY_LEVEL.get(tok.text, -1) \
+                if tok.kind is TokenKind.PUNCT else -1
+            if level < min_level:
                 return left
+            self.stream.next()
+            right = self._parse_binary_expr(level + 1)
+            left = ast.BinaryOp(op=tok.text, left=left, right=right, line=left.line)
 
     def _parse_unary_expr(self) -> ast.Node:
         tok = self.stream.peek()

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..tokenization.code_tokenizer import EncodedExample, pad_batch
+from ..utils.blas import blas_threads
 from ..utils.timing import Stopwatch
 from .autograd import inference_mode
 from .config import TrainingConfig
@@ -83,6 +84,7 @@ class Trainer:
             batches.append(ordered[start:start + size])
         return batches
 
+    @blas_threads(1)
     def train_step(self, batch: list[EncodedExample]) -> tuple[float, float]:
         """One optimisation step; returns (loss, token accuracy)."""
         src = pad_batch([b.encoder_ids for b in batch], self.pad_id)
@@ -100,6 +102,7 @@ class Trainer:
         self.optimizer.step()
         return float(result.loss.data), result.token_accuracy
 
+    @blas_threads(1)
     def evaluate(self, examples: list[EncodedExample]) -> tuple[float, float]:
         """Mean loss and token accuracy over ``examples`` (no grad updates).
 
