@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..tokenization.code_tokenizer import EncodedExample, pad_batch
-from ..utils.blas import blas_threads
+from ..utils.blas import blas_policy
 from ..utils.timing import Stopwatch
 from .autograd import inference_mode
 from .config import TrainingConfig
@@ -84,25 +84,29 @@ class Trainer:
             batches.append(ordered[start:start + size])
         return batches
 
-    @blas_threads(1)
+    def _blas_scope(self):
+        """The one-OpenBLAS-thread policy for a step of this batch size and
+        model width (see :func:`repro.utils.blas.blas_policy`)."""
+        return blas_policy(self.config.batch_size * self.model.config.d_model)
+
     def train_step(self, batch: list[EncodedExample]) -> tuple[float, float]:
         """One optimisation step; returns (loss, token accuracy)."""
-        src = pad_batch([b.encoder_ids for b in batch], self.pad_id)
-        tgt = pad_batch([b.decoder_ids for b in batch], self.pad_id)
-        decoder_input = tgt[:, :-1]
-        decoder_target = tgt[:, 1:]
+        with self._blas_scope():
+            src = pad_batch([b.encoder_ids for b in batch], self.pad_id)
+            tgt = pad_batch([b.decoder_ids for b in batch], self.pad_id)
+            decoder_input = tgt[:, :-1]
+            decoder_target = tgt[:, 1:]
 
-        self.optimizer.zero_grad()
-        logits = self.model.forward(src, decoder_input, self.pad_id, rng=self.rng,
-                                    training=True)
-        result = cross_entropy(logits, decoder_target, self.pad_id,
-                               self.config.label_smoothing)
-        result.loss.backward()
-        self.optimizer.clip_gradients()
-        self.optimizer.step()
-        return float(result.loss.data), result.token_accuracy
+            self.optimizer.zero_grad()
+            logits = self.model.forward(src, decoder_input, self.pad_id, rng=self.rng,
+                                        training=True)
+            result = cross_entropy(logits, decoder_target, self.pad_id,
+                                   self.config.label_smoothing)
+            result.loss.backward()
+            self.optimizer.clip_gradients()
+            self.optimizer.step()
+            return float(result.loss.data), result.token_accuracy
 
-    @blas_threads(1)
     def evaluate(self, examples: list[EncodedExample]) -> tuple[float, float]:
         """Mean loss and token accuracy over ``examples`` (no grad updates).
 
@@ -115,16 +119,17 @@ class Trainer:
         losses: list[float] = []
         accuracies: list[float] = []
         weights: list[int] = []
-        for batch in self._make_batches(examples, shuffle=False):
-            src = pad_batch([b.encoder_ids for b in batch], self.pad_id)
-            tgt = pad_batch([b.decoder_ids for b in batch], self.pad_id)
-            with inference_mode(np.float64):
-                logits = self.model.forward(src, tgt[:, :-1], self.pad_id,
-                                            training=False)
-                result = cross_entropy(logits, tgt[:, 1:], self.pad_id, 0.0)
-            losses.append(float(result.loss.data))
-            accuracies.append(result.token_accuracy)
-            weights.append(result.num_tokens)
+        with self._blas_scope():
+            for batch in self._make_batches(examples, shuffle=False):
+                src = pad_batch([b.encoder_ids for b in batch], self.pad_id)
+                tgt = pad_batch([b.decoder_ids for b in batch], self.pad_id)
+                with inference_mode(np.float64):
+                    logits = self.model.forward(src, tgt[:, :-1], self.pad_id,
+                                                training=False)
+                    result = cross_entropy(logits, tgt[:, 1:], self.pad_id, 0.0)
+                losses.append(float(result.loss.data))
+                accuracies.append(result.token_accuracy)
+                weights.append(result.num_tokens)
         total = sum(weights)
         loss = sum(l * w for l, w in zip(losses, weights)) / total
         accuracy = sum(a * w for a, w in zip(accuracies, weights)) / total

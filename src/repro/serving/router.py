@@ -64,7 +64,6 @@ from types import SimpleNamespace
 from typing import Any, Callable, Sequence
 
 from ..api import ApiError
-from ..utils.blas import blas_threads
 from .metrics import Metrics, RouterMetrics, merge
 from .pool import WorkerPool, server_worker_command
 from .sched import ContinuousScheduler
@@ -1338,7 +1337,6 @@ def _chaos_report(failures: list[str], router: Router | None) -> int:  # pragma:
     return 1
 
 
-@blas_threads(1)
 def main(argv: list[str] | None = None) -> int:  # pragma: no cover
     parser = argparse.ArgumentParser(
         description="Route MPI-RICAL advice across a self-healing worker "

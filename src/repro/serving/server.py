@@ -99,7 +99,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from ..api import AdviseRequest, ApiError, parse_batch_advise
 from ..model.checkpoints import CheckpointError
 from ..registry import RegistryError
-from ..utils.blas import blas_threads
+from ..utils.blas import blas_policy
 from .jobs import JobStore, validate_client_id
 from .service import InferenceService
 
@@ -616,7 +616,7 @@ def _smoke_resume_report(failures: list[str], *, job_id: str = "") -> int:
     return 0
 
 
-@blas_threads(1)
+@blas_policy()
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Serve MPI-RICAL advice over HTTP (stdlib only).")

@@ -1,9 +1,14 @@
-"""One OpenBLAS thread by policy.
+"""One OpenBLAS thread by policy, where it was measured.
 
-At this repo's matrix sizes a second OpenBLAS thread about doubles the CPU
-a training step costs and saves only a few percent of its wall time.  The
-trainer and the serving CLIs therefore run their BLAS work inside
-:func:`blas_threads`.
+On a 2-vCPU host, where OpenBLAS runs 2 threads by default, a second thread
+about doubles the CPU a training step costs and buys at most a few percent
+of wall time at the quick-profile, ``small_config`` and ``paper_config``
+shapes.  The trainer
+and the server CLI therefore run their BLAS work inside
+:func:`blas_policy`, which sets one thread only within what was measured:
+it replaces a count of at most :data:`MEASURED_THREADS`, and training steps
+up to :data:`MEASURED_BATCH_WIDTH`.  Beyond that (more cores, wider steps)
+it leaves OpenBLAS's count alone.
 An operator who sets ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` keeps that choice: the scope then leaves the count
 alone, as it does when NumPy links another BLAS (MKL, Accelerate).
@@ -22,6 +27,12 @@ import numpy  # noqa: F401  (maps the BLAS library that the lookup finds)
 
 #: Environment variables that already pick OpenBLAS's thread count.
 OVERRIDE_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+#: The thread count the policy was measured replacing (a 2-vCPU host).
+MEASURED_THREADS = 2
+
+#: Widest training step measured, batch size x d_model (``paper_config``).
+MEASURED_BATCH_WIDTH = 32 * 128
 
 #: Get/set symbol patterns of the NumPy wheels' OpenBLAS builds, tried in order.
 _SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
@@ -79,3 +90,20 @@ def blas_threads(count: int):
         yield
     finally:
         set_(previous)
+
+
+@contextmanager
+def blas_policy(batch_width: int = 0):
+    """Run the block on one OpenBLAS thread where that was measured to cost
+    at most a few percent of wall time: the count it replaces is at most :data:`MEASURED_THREADS`
+    and ``batch_width`` (batch size x d_model of a training step, 0 for
+    serving) is at most :data:`MEASURED_BATCH_WIDTH`.  Elsewhere the count
+    is left alone.  Decides on each entry; also usable as a decorator.
+    """
+    current = blas_thread_count()
+    if (current is None or current > MEASURED_THREADS
+            or batch_width > MEASURED_BATCH_WIDTH):
+        yield
+        return
+    with blas_threads(1):
+        yield
