@@ -204,6 +204,7 @@ def test_batched_sampling_throughput(benchmark, smoke_setup):
 
 def test_service_end_to_end_throughput(bench_model, bench_dataset):
     """Concurrent clients through the full service vs. a sequential loop."""
+    from repro.api import AdviseRequest
     from repro.serving import InferenceService
 
     sources, _ = _decode_inputs(bench_model, bench_dataset)
@@ -218,12 +219,14 @@ def test_service_end_to_end_throughput(bench_model, bench_dataset):
                           max_length=MAX_LENGTH) as service:
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=len(sources)) as pool:
-            served = list(pool.map(lambda s: service.advise(s, timeout=600), sources))
+            served = list(pool.map(
+                lambda s: service.advise_request(AdviseRequest(code=s),
+                                                 timeout=600), sources))
         concurrent_s = time.perf_counter() - start
         # Re-advising the same buffers is nearly free (cache hits).
         start = time.perf_counter()
         for src in sources:
-            service.advise(src, timeout=600)
+            service.advise_request(AdviseRequest(code=src), timeout=600)
         cached_s = time.perf_counter() - start
         snapshot = service.metrics()
 

@@ -77,22 +77,26 @@ def main() -> None:
 
     with InferenceService(registry, max_batch_size=8, cache_capacity=128,
                           max_length=max_length) as service:
+        def advise(code: str, **fields):
+            return service.advise_request(AdviseRequest(code=code, **fields))
+
         print(f"\n--- wave 1: cold burst of {len(programs)} concurrent programs")
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=len(programs)) as pool:
-            served = list(pool.map(service.advise, programs))
+            served = list(pool.map(advise, programs))
+        sample = [item["rendered"] for item in served[0].advice]
         print(f"    {len(served)} responses in {time.perf_counter() - start:.2f}s; "
-              f"sample advice: {served[0].session.summary()!r}")
+              f"sample advice: {sample!r}")
 
         print("\n--- wave 2: warm replay (identical buffers)")
         start = time.perf_counter()
-        replayed = [service.advise(program) for program in programs]
+        replayed = [advise(program) for program in programs]
         print(f"    all cached: {all(r.cached for r in replayed)}; "
               f"replay took {time.perf_counter() - start:.4f}s")
 
         print("\n--- wave 3: reformatted replay (whitespace + comments)")
         edited = [f"// reviewed, looks good\n{program}\n" for program in programs]
-        reformatted = [service.advise(buffer) for buffer in edited]
+        reformatted = [advise(buffer) for buffer in edited]
         print(f"    all cached despite edits: {all(r.cached for r in reformatted)}")
 
         print("\n--- wave 4: beam burst (beam_size=4) over the same programs")
@@ -100,11 +104,11 @@ def main() -> None:
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=len(programs)) as pool:
             beamed = list(pool.map(
-                lambda p: service.advise(p, strategy=beam), programs))
+                lambda p: advise(p, strategy=beam), programs))
         print(f"    {len(beamed)} beam responses in "
               f"{time.perf_counter() - start:.2f}s; greedy cache entries "
               f"did not answer them: {not any(r.cached for r in beamed)}")
-        replay = service.advise(programs[0], strategy=beam)
+        replay = advise(programs[0], strategy=beam)
         print(f"    identical beam request replays from cache: {replay.cached}")
 
         print("\n--- wave 5: sampling wave (SampleStrategy, explicit seeds)")

@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..model.checkpoints import read_manifest
 
@@ -96,7 +96,6 @@ class ModelEntry:
         self._warmed = False
         self._leases = 0
         self._draining = False
-        self.requests_served = 0
         self.loaded_at: float | None = time.time() if mpirical else None
 
     # ---------------------------------------------------------------- state
@@ -190,10 +189,6 @@ class ModelEntry:
             if self._draining and self._leases == 0:
                 self._unload_locked()
 
-    def record_request(self) -> None:
-        with self._lock:
-            self.requests_served += 1
-
     def unload(self) -> bool:
         """Release the model's weights; returns True once actually unloaded.
 
@@ -225,7 +220,10 @@ class ModelEntry:
 
     # ------------------------------------------------------------ reporting
 
-    def info(self) -> dict[str, Any]:
+    def info(self, served: Mapping[str, int] | None = None) -> dict[str, Any]:
+        """The entry's state; ``requests_served`` is read from ``served``,
+        the serving layer's per-``name@revision`` request count."""
+        requests_served = (served or {}).get(self.identity, 0)
         with self._lock:
             return {
                 "name": self.name,
@@ -234,7 +232,7 @@ class ModelEntry:
                 "source": str(self.source) if self.source else "in-memory",
                 "leases": self._leases,
                 "draining": self._draining,
-                "requests_served": self.requests_served,
+                "requests_served": requests_served,
             }
 
 
@@ -403,8 +401,9 @@ class ModelRegistry:
         with self._lock:
             return name in self._entries or name in self._aliases
 
-    def snapshot(self) -> dict[str, Any]:
-        """Registry state for ``/healthz``, ``/metrics`` and ``/v1/models``."""
+    def snapshot(self, served: Mapping[str, int] | None = None) -> dict[str, Any]:
+        """Registry state for ``/healthz``, ``/metrics`` and ``/v1/models``;
+        ``served`` is passed on to :meth:`ModelEntry.info`."""
         with self._lock:
             entries = list(self._entries.values())
             aliases = dict(self._aliases)
@@ -413,7 +412,7 @@ class ModelRegistry:
             "default": next((e.identity for e in entries if e.name == default),
                             None),
             "aliases": aliases,
-            "models": [entry.info() for entry in
+            "models": [entry.info(served) for entry in
                        sorted(entries, key=lambda e: e.name)],
             # Which durable-state replica this registry owns — in the pool
             # topology every worker has its own root under the shared pool

@@ -15,8 +15,11 @@ turns it into a concurrent service:
 ``repro.serving.metrics``   the one metrics model (:class:`Metrics`:
                             counters, labelled counters, windows) and the
                             router's :func:`merge` of worker snapshots
-``repro.serving.service``   the :class:`InferenceService` facade (v1 contract:
-                            ``advise_request``, ``advise_stream``; fronts a
+``repro.serving.service``   the :class:`InferenceService` facade (v1 contract,
+                            one entry contract: :class:`repro.api.AdviseRequest`
+                            in, :class:`repro.api.AdviseResponse` out, through
+                            ``advise_request``/``advise_request_async`` or
+                            streamed by ``advise_stream``; fronts a
                             :class:`repro.registry.ModelRegistry`)
 ``repro.serving.jobs``      durable async batch jobs (:class:`JobStore` +
                             :class:`JobPolicy`) behind ``POST
@@ -46,8 +49,8 @@ Quick start
 >>> from repro.api import AdviseRequest
 >>> from repro.serving import InferenceService
 >>> service = InferenceService(mpirical, max_batch_size=8)
->>> served = service.advise(source_code)      # blocking; batched under load
 >>> response = service.advise_request(AdviseRequest(code=source_code))
+>>> response.generated_code, response.advice, response.cached
 >>> service.metrics()["cache_hit_rate"]
 """
 
@@ -62,7 +65,7 @@ from .sched import (
     SchedulerPolicy,
     SchedWork,
 )
-from .service import InferenceService, ServedAdvice
+from .service import InferenceService
 
 # NOTE: the HTTP layers (repro.serving.server, repro.serving.router) are
 # intentionally not imported here so that `python -m repro.serving.server` /
@@ -88,6 +91,5 @@ __all__ = [
     "JobLog",
     "JobPolicy",
     "JobStore",
-    "ServedAdvice",
     "validate_client_id",
 ]

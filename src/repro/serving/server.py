@@ -80,8 +80,9 @@ durable (the WAL lives at ``DIR/jobs/jobs.wal``; startup replays it and
 resumes unfinished jobs).  ``--smoke`` starts the server on an ephemeral
 port, exercises ``/v1/advise``, ``/v1/advise/stream``, ``/v1/models`` and
 one ``/v1/advise/batch`` job against it, checks that the retired
-``/advise`` answers 404 ``not_found``, asserts the responses, and exits —
-the CI smoke test.
+``/advise`` answers 404 ``not_found``, asserts the responses (the call,
+the stream's final chunk and the job items for one body carry one
+``generated_code`` and ``advice``), and exits — the CI smoke test.
 ``--smoke-resume`` is the durability smoke: it starts a *subprocess* server
 over a registry root, submits a batch, SIGKILLs the process mid-run,
 restarts it over the same root, and asserts the job reaches ``"done"`` with
@@ -156,7 +157,8 @@ class AdviseRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(200, self.service.metrics())
             elif self.path == "/v1/models":
                 self._send_json(200, {"api_version": "v1",
-                                      **self.service.registry.snapshot()})
+                                      **self.service.registry.snapshot(
+                                          self.service.requests_by_model())})
             elif self.path.startswith("/v1/jobs/"):
                 job_id = self.path[len("/v1/jobs/"):]
                 self._send_json(200, self.service.jobs.get(job_id).to_dict())
@@ -202,7 +204,8 @@ class AdviseRequestHandler(BaseHTTPRequestHandler):
         return None
 
     def _get_healthz(self) -> None:
-        registry = self.service.registry.snapshot()
+        registry = self.service.registry.snapshot(
+            self.service.requests_by_model())
         jobs = self.service.job_store()
         draining = self.service.draining
         # A draining worker answers 503 so load balancers (and the pool
@@ -267,7 +270,8 @@ class AdviseRequestHandler(BaseHTTPRequestHandler):
                 raise ApiError.invalid_parameter(
                     str(exc), field="checkpoint") from exc
         entry = registry.load(name, warm_up=True)
-        self._send_json(200, {"api_version": "v1", "model": entry.info()})
+        self._send_json(200, {"api_version": "v1", "model": entry.info(
+            self.service.requests_by_model())})
 
     def _post_model_swap(self, name: str, payload: dict) -> None:
         """Atomic alias flip onto ``name`` (drains in-flight, drops none)."""
@@ -476,6 +480,14 @@ def _run_smoke(service: InferenceService) -> int:
                   if item.get("status") == "ok"]
             if job["status"] != "done" or len(ok) != job["total"]:
                 failures.append(f"batch job round-trip: {job}")
+            # One body, one answer: a call, a stream and a job item all
+            # resolve through the same request path.
+            answers = [v1, lines[-1].get("response", {}),
+                       *(item["response"] for item in ok)]
+            if len({json.dumps([answer.get("generated_code"),
+                                answer.get("advice")])
+                    for answer in answers}) != 1:
+                failures.append(f"routes disagree on one body: {answers}")
     finally:
         server.shutdown()
         server.server_close()
@@ -485,8 +497,9 @@ def _run_smoke(service: InferenceService) -> int:
             print(f"smoke test FAILED: {failure}", file=sys.stderr)
         return 1
     print(f"smoke test ok: /v1/advise, /v1/advise/stream, /v1/models "
-          f"and a /v1/advise/batch job round-trip all answered, /advise is 404 "
-          f"({len(lines)} stream chunk(s), job {job['job_id']} done)")
+          f"and a /v1/advise/batch job round-trip all answered with one "
+          f"answer, /advise is 404 ({len(lines)} stream chunk(s), "
+          f"job {job['job_id']} done)")
     return 0
 
 

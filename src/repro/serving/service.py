@@ -29,11 +29,14 @@ Cache keys and the per-config batch metrics are both derived from the
 after :meth:`normalised`), so no hand-maintained label function can drift
 out of sync with the key.
 
-**Streaming** (:meth:`InferenceService.advise_stream`) joins the same
-continuous batch with a per-token callback and yields each generated token
-as it is emitted, followed by the final :class:`AdviseResponse`.  Streams
-bypass single-flight but still read and populate the shared cache: a cache
-hit replays its tokens instantly.
+Calls, streams and job items take this one path, and every request
+resolves to one :class:`AdviseResponse`.  **Streaming**
+(:meth:`InferenceService.advise_stream`) adds a per-token sink: a miss
+joins the continuous batch and yields each generated token as it is
+emitted, a cache hit replays its cached tokens instantly, and either ends
+with the final response.  Streams bypass single-flight (a stream never
+follows another request's decode, nor offers its own to follow) but still
+read and populate the shared cache.
 
 **Multi-model routing** (v1.1): the service fronts a
 :class:`repro.registry.ModelRegistry` instead of one hard-wired model.  A
@@ -52,31 +55,30 @@ it is registered as the registry's ``default`` model.
 A decode is chosen only by its strategy (``GreedyStrategy()`` when a
 request names none) and bounded only by an int ``max_length`` (the
 service's ``max_length=``, else the serving model's own
-:attr:`MPIRical.max_length`).  :meth:`InferenceService.advise` is the
-in-process shorthand for the same path: it takes ``strategy=`` and answers
-a :class:`ServedAdvice` instead of an :class:`AdviseResponse`.
+:attr:`MPIRical.max_length`).
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from queue import SimpleQueue
-from threading import Lock, Thread
+from threading import Lock
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ..api import AdviseRequest, AdviseResponse, ApiError, advice_items
 from ..clang.parser import parse_source_with_diagnostics
-from ..model.decoding import DecodingStrategy, GreedyStrategy
-from ..mpirical.assistant import AdviceSession, MPIAssistant, build_advice_session
+from ..model.decoding import DecodingStrategy
+from ..mpirical.assistant import MPIAssistant, build_advice_session
 from ..mpirical.pipeline import MPIRical, PredictionResult
 from ..mpirical.suggestions import extract_suggestions
 from ..registry import ModelEntry, ModelRegistry, RegistryError
 from ..verify import Budget, VerificationReport, VerifyConfig, verify_candidates
-from .cache import LRUCache, canonical_cache_key, front_end
+from .cache import FrontEnd, LRUCache, canonical_cache_key, front_end
 from .jobs import JobPolicy, JobStore
 from .metrics import Metrics
 from .sched import ContinuousScheduler, QueueFullError, SchedulerPolicy, SchedWork
@@ -96,22 +98,6 @@ def anchor_result(source_code: str, result: PredictionResult) -> PredictionResul
         generated_tokens=result.generated_tokens,
         suggestions=extract_suggestions(source_code, result.generated_code),
     )
-
-
-@dataclass
-class ServedAdvice:
-    """One request's response plus its serving-side bookkeeping."""
-
-    session: AdviceSession
-    #: True when the session was served from cache (including requests
-    #: coalesced onto an identical in-flight decode).
-    cached: bool
-    latency_ms: float
-    cache_key: str
-    #: The strategy the decode actually ran under (the v1 identity).
-    strategy: DecodingStrategy | None = None
-    #: The resolved ``name@revision`` of the model that served the request.
-    model: str | None = None
 
 
 class InferenceService:
@@ -322,24 +308,7 @@ class InferenceService:
         in-flight request resolved through can be re-pointed concurrently
         without affecting it)."""
         request.validate()
-        strategy = request.strategy.normalised()
-        entry = self._resolve_entry(request.model)
-        # Echo the resolved name@revision only when the request named a
-        # model: requests omitting it keep the v1.0 response shape exactly.
-        echo_model = request.model is not None
-        inner = self._advise_async(request.code, strategy, entry=entry)
-        response: Future = Future()
-
-        def _on_done(done: Future) -> None:
-            try:
-                served = done.result()
-            except Exception as exc:  # noqa: BLE001 — surfaced to the caller
-                response.set_exception(exc)
-                return
-            response.set_result(self._to_response(served, echo_model=echo_model))
-
-        inner.add_done_callback(_on_done)
-        return response
+        return self._advise_async(request, self._resolve_entry(request.model))
 
     # -------------------------------------------------------- verification
 
@@ -446,12 +415,12 @@ class InferenceService:
         beam search only knows its winning hypothesis at the end, so its
         chunks arrive just before the final result.
 
-        Streams read and populate the shared LRU cache (a hit replays its
-        cached tokens immediately) and bypass single-flight.  The stream's
-        decode joins the shared in-flight batch — tokens surface per
-        iteration while other requests decode in the same steps.  A full
-        admission queue (429 ``queue_full``) or a failed decode surfaces as
-        an exception from the generator.
+        The stream takes the one request path with a token sink: it reads
+        and populates the shared LRU cache (a hit replays its cached tokens
+        immediately), bypasses single-flight, and its decode joins the
+        shared in-flight batch.  A full admission queue (429
+        ``queue_full``) or a failed decode surfaces as an exception from the
+        generator.
 
         Validation is eager — an invalid request raises here, at call time,
         not at the first ``next()`` (the HTTP layer relies on this to answer
@@ -459,99 +428,31 @@ class InferenceService:
         """
         request.validate()
         self._require_not_draining()
-        strategy = self._resolve_strategy(request.strategy)
-        entry = self._resolve_entry(request.model)
-        return self._stream(request, strategy, entry,
-                            echo_model=request.model is not None)
+        return self._stream(request, self._resolve_entry(request.model))
 
-    def _stream(self, request: AdviseRequest, strategy: DecodingStrategy,
-                entry: ModelEntry, *, echo_model: bool) -> Iterator[dict]:
-        start = time.perf_counter()
-        vocab = entry.ensure_loaded().encoder.vocab
-
-        front = front_end(request.code)
-        key = canonical_cache_key(request.code, front.xsbt, tokens=front.tokens,
-                                  strategy=strategy, model=entry.identity)
-
-        cached = self.cache.get(key) if self.cache is not None else None
-        if cached is not None:
-            result = anchor_result(request.code, cached)
-            for index, token in enumerate(result.generated_tokens):
-                yield {"type": "token", "index": index, "token": token}
-            yield self._final_chunk(request.code, front.diagnostics, result,
-                                    strategy=strategy, cached=True,
-                                    start=start, key=key, entry=entry,
-                                    echo_model=echo_model,
-                                    verify_requested=request.verify is not None)
-            return
-
+    def _stream(self, request: AdviseRequest,
+                entry: ModelEntry) -> Iterator[dict]:
+        # Runs from the first next(): a full admission queue ends a started
+        # stream like any failed decode.  The sink and the done-callback feed
+        # one queue (token strings, then the response future); the decode
+        # caches its result whether or not this generator is still read.
         chunks: SimpleQueue = SimpleQueue()
-
-        def on_token(token_id: int) -> None:
-            for token in vocab.decode([token_id]):
-                chunks.put(("token", token))
-
-        def decode_worker() -> None:
-            # The lease pins the entry's weights for the whole decode: a
-            # concurrent swap/unload drains behind this stream, never under
-            # it.  A failed acquire (entry unloaded in the race window after
-            # resolution) must reach the consuming generator as an error
-            # chunk — dying silently would strand it on chunks.get() forever.
-            try:
-                entry.acquire()
-            except Exception as exc:  # noqa: BLE001 — delivered to the reader
-                chunks.put(("error", exc))
-                return
-            try:
-                result = self._submit_sched(request.code, front.xsbt,
-                                            front.tokens, strategy, entry,
-                                            on_token=on_token).result()
-                # Cache here, on the worker: a completed decode must not be
-                # discarded just because the streaming client disconnected
-                # and abandoned the consuming generator — its retry should
-                # replay from cache.
-                if self.cache is not None:
-                    self.cache.put(key, result)
-                chunks.put(("done", result))
-            except Exception as exc:  # noqa: BLE001 — delivered to the reader
-                chunks.put(("error", exc))
-            finally:
-                entry.release()
-
-        Thread(target=decode_worker, name="advise-stream", daemon=True).start()
+        self._advise_async(request, entry, on_token=chunks.put) \
+            .add_done_callback(chunks.put)
         index = 0
-        while True:
-            kind, payload = chunks.get()
-            if kind == "token":
-                yield {"type": "token", "index": index, "token": payload}
-                index += 1
-            elif kind == "done":
-                yield self._final_chunk(request.code, front.diagnostics, payload,
-                                        strategy=strategy, cached=False,
-                                        start=start, key=key, entry=entry,
-                                        echo_model=echo_model,
-                                        verify_requested=request.verify is not None)
-                return
-            else:
-                self._m.errors.inc()
-                raise payload
-
-    # --------------------------------------------------------- in-process api
-
-    def advise(self, source_code: str, *,
-               strategy: DecodingStrategy | None = None,
-               timeout: float | None = None) -> ServedAdvice:
-        """Advise on ``source_code``, blocking until the response is ready.
-
-        ``strategy`` pins the decoding strategy for this request only
-        (greedy when omitted).
-        """
-        return self.advise_async(source_code, strategy=strategy).result(timeout)
-
-    def advise_async(self, source_code: str, *,
-                     strategy: DecodingStrategy | None = None) -> Future:
-        """Non-blocking :meth:`advise`; resolves to a :class:`ServedAdvice`."""
-        return self._advise_async(source_code, self._resolve_strategy(strategy))
+        while isinstance(item := chunks.get(), str):
+            yield {"type": "token", "index": index, "token": item}
+            index += 1
+        response = item.result()  # a failed decode raises here
+        self._m.streams.inc()
+        if request.verify is not None:
+            # Streams never block on simulation; the explicit skip marker
+            # tells the caller where the verified path lives.
+            response = replace(response, verification=VerificationReport.skipped(
+                "streaming responses are not verified; "
+                "use POST /v1/advise").to_payload())
+            self._record_verify(0.0, "skipped")
+        yield {"type": "final", "response": response.to_dict()}
 
     def metrics(self) -> dict:
         """Operational snapshot: request metrics + cache stats + queue depth
@@ -564,12 +465,19 @@ class InferenceService:
                              else {"enabled": False})
         snapshot["queued_requests"] = self.sched.queue_depth()
         snapshot["max_batch_size"] = self.sched.policy.max_rows
-        snapshot["registry"] = self.registry.snapshot()
+        snapshot["registry"] = self.registry.snapshot(
+            served=snapshot["requests_by_model"])
         snapshot["draining"] = self._draining
         jobs = self.job_store()
         snapshot["jobs"] = (jobs.snapshot() if jobs is not None
                             else {"enabled": False})
         return snapshot
+
+    def requests_by_model(self) -> dict[str, int]:
+        """Requests served per ``name@revision``: the one per-model request
+        count, shown as ``requests_by_model`` on ``/metrics`` and as each
+        model's ``requests_served`` in the registry views."""
+        return self._m.by_model.counts()
 
     def close(self, *, job_drain_timeout: float | None = 5.0) -> None:
         """Drain queued requests and stop the scheduler (and job store).
@@ -621,46 +529,96 @@ class InferenceService:
                 raise ApiError.unknown_model(str(exc)) from exc
             raise ApiError.internal(str(exc)) from exc
 
-    def _resolve_strategy(self, strategy: DecodingStrategy | None) -> DecodingStrategy:
-        """The effective strategy: an explicit one (validated, normalised) or
-        the v1 default, greedy."""
-        if strategy is None:
-            return GreedyStrategy()
-        strategy.validate()
-        return strategy.normalised()
+    def _advise_async(self, request: AdviseRequest, entry: ModelEntry, *,
+                      on_token: Callable[[str], None] | None = None) -> Future:
+        """The one request path (cache → single-flight → scheduler); the
+        future resolves to the request's :class:`AdviseResponse`.
 
-    def _to_response(self, served: ServedAdvice, *,
-                     echo_model: bool = False) -> AdviseResponse:
-        session = served.session
-        return AdviseResponse(
-            generated_code=session.generated_code,
-            advice=advice_items(session),
-            diagnostics=tuple(session.parse_diagnostics),
-            strategy=served.strategy,
-            cached=served.cached,
-            latency_ms=served.latency_ms,
-            cache_key=served.cache_key,
-            model=served.model if echo_model else None,
-        )
+        ``entry`` is the resolved registry entry.  The owner of a decode
+        holds a lease on it from submit until the decode resolves, so a
+        concurrent hot-swap drains behind queued work instead of dropping it.
+        ``on_token`` is a stream's sink for generated token strings: a cache
+        hit replays its cached tokens into it before resolving, a miss feeds
+        it per decode iteration.
+        """
+        self._require_not_draining()
+        start = time.perf_counter()
+        response: Future = Future()
+        strategy = request.strategy.normalised()
+        front = front_end(request.code)
+        key = canonical_cache_key(request.code, front.xsbt, tokens=front.tokens,
+                                  strategy=strategy, model=entry.identity)
+        resolve = partial(self._resolve, response, request, front.diagnostics,
+                          start=start, key=key, strategy=strategy, entry=entry)
 
-    def _final_chunk(self, source_code: str, diagnostics: list,
-                     result: PredictionResult, *, strategy: DecodingStrategy,
-                     cached: bool, start: float, key: str, entry: ModelEntry,
-                     echo_model: bool, verify_requested: bool = False) -> dict:
-        """Record metrics for a finished stream and build its final chunk."""
+        def from_cache(hit: PredictionResult) -> Future:
+            if on_token is not None:
+                for token in hit.generated_tokens:
+                    on_token(token)
+            resolve(hit, cached=True)
+            return response
+
+        hit = self.cache.get(key) if self.cache is not None else None
+        if hit is not None:
+            return from_cache(hit)
+        with self._inflight_lock:
+            # A stream decodes for itself: it never follows another request's
+            # decode (whose tokens it would miss) and never registers its own,
+            # so every in-flight entry belongs to the request that drops it.
+            inflight = self._inflight.get(key) if on_token is None else None
+            owner = inflight is None
+            if owner:
+                # Re-check under the lock: an owner that completed between
+                # our miss above and here has already populated the cache.
+                # peek() keeps the hit/miss counters at one count per
+                # request; resolution happens outside the lock.
+                hit = self.cache.peek(key) if self.cache is not None else None
+                if hit is None:
+                    inflight = self._submit_sched(request.code, front, strategy,
+                                                  entry, on_token)
+                    if on_token is None:
+                        self._inflight[key] = inflight
+        if hit is not None:
+            return from_cache(hit)
+
+        def _on_done(decode: Future) -> None:
+            error = decode.exception()
+            if owner:
+                # Populate the cache BEFORE dropping the in-flight entry, and
+                # have would-be owners re-check the cache under the in-flight
+                # lock, so a concurrent identical request finds one of the two.
+                if error is None and self.cache is not None:
+                    self.cache.put(key, decode.result())
+                with self._inflight_lock:
+                    if self._inflight.get(key) is decode:
+                        del self._inflight[key]
+                entry.release()
+            if error is not None:
+                self._m.errors.inc()
+                response.set_exception(error)
+            else:
+                resolve(decode.result(), cached=not owner)
+
+        inflight.add_done_callback(_on_done)
+        return response
+
+    def _resolve(self, response: Future, request: AdviseRequest,
+                 diagnostics: list, result: PredictionResult, *, cached: bool,
+                 start: float, key: str, strategy: DecodingStrategy,
+                 entry: ModelEntry) -> None:
+        """Build this request's :class:`AdviseResponse` (own anchors and
+        diagnostics) and finish.
+
+        A non-cached resolve is the owner of the decode, and the scheduler
+        already extracted suggestions against this very buffer — only cache
+        hits and coalesced followers (possibly layout-shifted buffers) re-anchor.
+        """
+        if cached:
+            result = anchor_result(request.code, result)
         session = build_advice_session(diagnostics, result)
         latency_ms = (time.perf_counter() - start) * 1000.0
         self._record_request(entry, latency_ms, cached=cached)
-        self._m.streams.inc()
-        verification = None
-        if verify_requested:
-            # Streams never block on simulation; the explicit skip marker
-            # tells the caller where the verified path lives.
-            verification = VerificationReport.skipped(
-                "streaming responses are not verified; "
-                "use POST /v1/advise").to_payload()
-            self._record_verify(0.0, "skipped")
-        response = AdviseResponse(
+        response.set_result(AdviseResponse(
             generated_code=session.generated_code,
             advice=advice_items(session),
             diagnostics=tuple(session.parse_diagnostics),
@@ -668,143 +626,54 @@ class InferenceService:
             cached=cached,
             latency_ms=latency_ms,
             cache_key=key,
-            model=entry.identity if echo_model else None,
-            verification=verification,
-        )
-        return {"type": "final", "response": response.to_dict()}
-
-    def _advise_async(self, source_code: str, strategy: DecodingStrategy,
-                      entry: ModelEntry | None = None) -> Future:
-        """The shared (cache → single-flight → scheduler) path for one request.
-
-        ``entry`` is the resolved registry entry; None resolves the default
-        alias (:meth:`advise` callers).  The owner of a decode holds a lease on the
-        entry from submit until the decode resolves, so a concurrent
-        hot-swap drains behind queued work instead of dropping it.
-        """
-        self._require_not_draining()
-        start = time.perf_counter()
-        response: Future = Future()
-        if entry is None:
-            entry = self._resolve_entry(None)
-
-        front = front_end(source_code)
-        key = canonical_cache_key(source_code, front.xsbt, tokens=front.tokens,
-                                  strategy=strategy, model=entry.identity)
-
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self._resolve(response, source_code, front.diagnostics, hit,
-                              cached=True, start=start, key=key,
-                              strategy=strategy, entry=entry)
-                return response
-
-        late_hit = None
-        with self._inflight_lock:
-            inflight = self._inflight.get(key)
-            owner = inflight is None
-            if owner:
-                if self.cache is not None:
-                    # Re-check under the lock: an owner that completed between
-                    # our miss above and here has already populated the cache.
-                    # peek() keeps the hit/miss counters at one count per
-                    # request; resolution happens outside the lock.
-                    late_hit = self.cache.peek(key)
-                if late_hit is None:
-                    entry.acquire()
-                    try:
-                        inflight = self._submit_sched(
-                            source_code, front.xsbt, front.tokens, strategy,
-                            entry)
-                    except BaseException:
-                        entry.release()
-                        raise
-                    self._inflight[key] = inflight
-        if late_hit is not None:
-            self._resolve(response, source_code, front.diagnostics, late_hit,
-                          cached=True, start=start, key=key,
-                          strategy=strategy, entry=entry)
-            return response
-
-        def _on_done(decode: Future) -> None:
-            try:
-                result = decode.result()
-            except Exception as exc:  # noqa: BLE001 — surfaced to the caller
-                if owner:
-                    with self._inflight_lock:
-                        self._inflight.pop(key, None)
-                    entry.release()
-                self._m.errors.inc()
-                response.set_exception(exc)
-                return
-            if owner:
-                # Populate the cache BEFORE dropping the in-flight entry, and
-                # have would-be owners re-check the cache under the in-flight
-                # lock, so a concurrent identical request finds one of the two.
-                if self.cache is not None:
-                    self.cache.put(key, result)
-                with self._inflight_lock:
-                    self._inflight.pop(key, None)
-                entry.release()
-            self._resolve(response, source_code, front.diagnostics, result,
-                          cached=not owner, start=start, key=key,
-                          strategy=strategy, entry=entry)
-
-        inflight.add_done_callback(_on_done)
-        return response
-
-    def _resolve(self, response: Future, source_code: str, diagnostics: list,
-                 result: PredictionResult, *, cached: bool, start: float,
-                 key: str, strategy: DecodingStrategy,
-                 entry: ModelEntry) -> None:
-        """Build this request's session (own anchors + diagnostics) and finish.
-
-        A non-cached resolve is the owner of the decode, and the scheduler
-        already extracted suggestions against this very buffer — only cache
-        hits and coalesced followers (possibly layout-shifted buffers) re-anchor.
-        """
-        if cached:
-            result = anchor_result(source_code, result)
-        session = build_advice_session(diagnostics, result)
-        latency_ms = (time.perf_counter() - start) * 1000.0
-        self._record_request(entry, latency_ms, cached=cached)
-        response.set_result(ServedAdvice(session=session, cached=cached,
-                                         latency_ms=latency_ms, cache_key=key,
-                                         strategy=strategy,
-                                         model=entry.identity))
+            # Echo the resolved name@revision only when the request named a
+            # model: requests omitting it keep the v1.0 response shape.
+            model=entry.identity if request.model is not None else None,
+        ))
 
     def _record_request(self, entry: ModelEntry, latency_ms: float, *,
                         cached: bool) -> None:
         self._m.by_model.inc(entry.identity)
         (self._m.hits if cached else self._m.misses).inc()
         self._m.latency_ms.record(latency_ms)
-        entry.record_request()
 
     def _record_verify(self, latency_ms: float, verdict: str) -> None:
         self._m.verify_ms.record(latency_ms)
         self._m.verdicts.inc(verdict)
 
-    def _submit_sched(self, source_code: str, xsbt: str, tokens: list[str],
+    def _submit_sched(self, source_code: str, front: FrontEnd,
                       strategy: DecodingStrategy, entry: ModelEntry,
-                      on_token=None) -> Future:
-        """Queue one decode on the continuous scheduler; returns its future.
+                      on_token: Callable[[str], None] | None = None) -> Future:
+        """Lease ``entry`` and queue one decode on the continuous scheduler;
+        returns its future.
 
-        The buffer arrives parsed and lexed, and ``entry`` is already
-        resolved and leased, so a hot-swap mid-queue cannot reroute it.
-        ``on_token`` streams token ids per iteration (the streaming path).
-        A full admission queue raises the contract's 429 ``queue_full``
-        :class:`repro.api.ApiError`; a strategy without a per-row state
-        machine fails its own future inside the scheduler.  The decode wall
-        time (join → retire) is recorded per request as
+        The buffer arrives parsed and lexed, and the lease (returned by the
+        caller once the decode resolves, or here if the submit fails) pins
+        the resolved entry, so a hot-swap mid-queue cannot reroute it.
+        ``on_token`` receives each generated token string per iteration (the
+        streaming path).  A full admission queue raises the contract's 429
+        ``queue_full`` :class:`repro.api.ApiError`; a strategy without a
+        per-row state machine fails its own future inside the scheduler.
+        The decode wall time (join → retire) is recorded per request as
         ``decode_latency_ms_p50/p95`` in ``/metrics``.
         """
-        work = SchedWork(source_code=source_code, xsbt=xsbt, tokens=tokens,
-                         strategy=strategy, entry=entry,
-                         max_length=self._max_length(entry),
-                         on_token=on_token)
+        entry.acquire()
         try:
-            return self.sched.submit(work)
-        except QueueFullError as exc:
-            raise ApiError.queue_full(
-                f"{exc}; retry after the in-flight decodes drain") from exc
+            sink = None
+            if on_token is not None:
+                vocab = entry.ensure_loaded().encoder.vocab
+
+                def sink(token_id: int) -> None:
+                    for token in vocab.decode([token_id]):
+                        on_token(token)
+
+            return self.sched.submit(SchedWork(
+                source_code=source_code, xsbt=front.xsbt, tokens=front.tokens,
+                strategy=strategy, entry=entry,
+                max_length=self._max_length(entry), on_token=sink))
+        except BaseException as exc:
+            entry.release()
+            if isinstance(exc, QueueFullError):
+                raise ApiError.queue_full(
+                    f"{exc}; retry after the in-flight decodes drain") from exc
+            raise

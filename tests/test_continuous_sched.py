@@ -559,7 +559,8 @@ def continuous_service(tiny_model):
 def test_service_defaults_to_continuous_and_exposes_sched_gauges(
         continuous_service, small_dataset):
     sources = [ex.source_code for ex in small_dataset.splits.test[:3]]
-    futures = [continuous_service.advise_async(src) for src in sources]
+    futures = [continuous_service.advise_request_async(AdviseRequest(code=src))
+               for src in sources]
     for future in futures:
         future.result(timeout=120)
     snapshot = continuous_service.metrics()
@@ -656,8 +657,9 @@ def test_stream_rides_the_shared_continuous_batch(continuous_service,
         AdviseRequest(code=source)))
     assert chunks[-1]["type"] == "final"
     tokens = [chunk for chunk in chunks[:-1] if chunk["type"] == "token"]
-    blocking = continuous_service.advise(source, timeout=120)
-    generated = blocking.session.generated_code
+    blocking = continuous_service.advise_request(AdviseRequest(code=source),
+                                                 timeout=120)
+    generated = blocking.generated_code
     if generated:
         assert tokens  # a non-empty generation streamed token chunks
     # The stream decoded through the scheduler, not a dedicated decode.
@@ -675,7 +677,9 @@ def test_router_aggregates_pool_sched_gauges(tiny_model, small_dataset):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        service.advise(small_dataset.splits.test[6].source_code, timeout=120)
+        service.advise_request(
+            AdviseRequest(code=small_dataset.splits.test[6].source_code),
+            timeout=120)
         router = Router(endpoints=[("w0", host, port)],
                         policy=RouterPolicy(health_interval=0.0))
         sched = router.metrics_body()["sched"]

@@ -117,13 +117,13 @@ def test_hot_swap_serves_every_request_and_never_a_stale_cache_entry(
         assert not pre_keys & {response.cache_key for response in responses
                                if response.model == id2}
 
-        # Requests that never name a model follow the alias too (served
-        # identity visible on the in-process ServedAdvice), while their wire
-        # responses keep the v1.0 shape (no "model" key).
-        served = service.advise(programs[0], timeout=120)
-        assert served.model == id2
+        # Requests that never name a model follow the alias too (their
+        # cache key is the one of the v2 decode of the same buffer), while
+        # their wire responses keep the v1.0 shape (no "model" key).
         unpinned = service.advise_request(AdviseRequest(code=programs[0]),
                                           timeout=120)
+        assert unpinned.cache_key == post[0].cache_key
+        assert unpinned.cache_key == canonical_cache_key(programs[0], model=id2)
         assert unpinned.model is None
         assert "model" not in unpinned.to_dict()
 
