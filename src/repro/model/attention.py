@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autograd import Tensor, is_grad_enabled
+from .autograd import Tensor, fused_op
 from .layers import Linear, Module, cast_param
 
 
@@ -579,33 +579,15 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
         rng = rng or np.random.default_rng()
         keep = rng.random(probs.shape) >= dropout
         weights = _dropped(probs, keep, dropout)
-    out = Tensor(np.matmul(weights, v.data))
-    if not is_grad_enabled():
-        return out
-    needs = (q.requires_grad, k.requires_grad, v.requires_grad)
-    pending: dict[int, np.ndarray] = {}
-
-    def parent_grad(index: int):
-        # The tape asks for each parent's gradient separately; the first
-        # request computes all of them and each later one collects its own.
-        def grad_fn(g: np.ndarray) -> np.ndarray:
-            if not pending:
-                pending.update(_attention_backward(
-                    g, q.data, k.data, v.data, mask, probs, keep, dropout,
-                    scale, needs))
-            return pending.pop(index)
-        return grad_fn
-
-    for index, parent in enumerate((q, k, v)):
-        out._add_parent(parent, parent_grad(index))
-    return out
+    return fused_op(np.matmul(weights, v.data), (q, k, v), _attention_backward,
+                    q.data, k.data, v.data, mask, probs, keep, dropout, scale)
 
 
-def _attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray,
-                        v: np.ndarray, mask: np.ndarray | None,
-                        probs: np.ndarray, keep: np.ndarray | None,
-                        rate: float, scale: float,
-                        needs: tuple[bool, bool, bool]) -> dict[int, np.ndarray]:
+def _attention_backward(g: np.ndarray, needs: tuple[bool, bool, bool],
+                        q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                        mask: np.ndarray | None, probs: np.ndarray,
+                        keep: np.ndarray | None, rate: float,
+                        scale: float) -> dict[int, np.ndarray]:
     """Gradients ``{0: dq, 1: dk, 2: dv}`` (only the ``needs``-ed ones).
 
     Same floats as the composed chain's backward: the value matmul, the

@@ -3,10 +3,13 @@
 This is the reproduction's stand-in for PyTorch: the paper fine-tunes
 SPT-Code with PyTorch on a V100; here the Transformer is trained on CPU with
 this tape-based autograd.  Only the operations the Transformer needs are
-implemented (broadcast arithmetic, matmul, reshape/transpose, log-softmax,
-layer-norm statistics, embedding gather, dropout, reductions), each with an
-explicit backward function.  Attention is one fused op with its own backward
-(``repro.model.attention.scaled_dot_product_attention``).
+implemented (broadcast arithmetic, matmul, reshape/transpose, embedding
+gather, dropout, reductions), each with an explicit backward function.  The
+layers train through fused ops built with :func:`fused_op`, each one tape
+node with a hand-written backward: attention
+(``repro.model.attention.scaled_dot_product_attention``), the biased Linear
+and GELU (``repro.model.layers``) and the log-softmax fused with the
+label-smoothed NLL (``repro.model.loss.cross_entropy``).
 
 Design notes
 ------------
@@ -400,47 +403,7 @@ class Tensor:
             out._add_parent(self, lambda g: g * mask)
         return out
 
-    def gelu(self) -> "Tensor":
-        """Gaussian error linear unit (tanh approximation).
-
-        The cubic is expanded to explicit multiplies: NumPy's float ``**``
-        lowers to a full ``pow`` for exponent 3, which is an order of
-        magnitude slower than two multiplications on the FFN hot path.
-        """
-        x = self.data
-        c = np.sqrt(2.0 / np.pi)
-        x_sq = x * x
-        inner = c * (x + 0.044715 * (x_sq * x))
-        t = np.tanh(inner)
-        value = 0.5 * x * (1.0 + t)
-        out = Tensor(value)
-        if not _STATE.grad_enabled:
-            return out
-
-        def grad_fn(g: Array) -> Array:
-            dinner = c * (1.0 + 3 * 0.044715 * x_sq)
-            dt = (1.0 - t ** 2) * dinner
-            return g * (0.5 * (1.0 + t) + 0.5 * x * dt)
-
-        out._add_parent(self, grad_fn)
-        return out
-
     # --------------------------------------------------------------- nn ops
-
-    def log_softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        value = shifted - log_z
-        out = Tensor(value)
-        if not _STATE.grad_enabled:
-            return out
-        softmax_value = np.exp(value)
-
-        def grad_fn(g: Array) -> Array:
-            return g - softmax_value * g.sum(axis=axis, keepdims=True)
-
-        out._add_parent(self, grad_fn)
-        return out
 
     def dropout(self, rate: float, rng: np.random.Generator | None = None,
                 training: bool = True) -> "Tensor":
@@ -471,6 +434,34 @@ def _as_tensor(value) -> Tensor:
 def parameter(data: Array, name: str = "") -> Tensor:
     """Create a trainable parameter tensor."""
     return Tensor(data, requires_grad=True, name=name)
+
+
+def fused_op(data: Array, parents: tuple[Tensor, ...], backward: Callable,
+             *saved) -> Tensor:
+    """One tape node over ``parents`` with a hand-written backward.
+
+    ``backward(g, needs, *saved)`` returns ``{index: gradient}`` for every
+    parent whose ``needs[index]`` is true.  The tape asks for each parent's
+    gradient separately: the first request runs ``backward`` once and each
+    later one collects its own.  ``saved`` are the only arrays the node
+    keeps for backward; under :func:`inference_mode` it keeps none.
+    """
+    out = Tensor(data)
+    if not _STATE.grad_enabled:
+        return out
+    needs = tuple(parent.requires_grad for parent in parents)
+    pending: dict[int, Array] = {}
+
+    def parent_grad(index: int) -> Callable[[Array], Array]:
+        def grad_fn(g: Array) -> Array:
+            if not pending:
+                pending.update(backward(g, needs, *saved))
+            return pending.pop(index)
+        return grad_fn
+
+    for index, parent in enumerate(parents):
+        out._add_parent(parent, parent_grad(index))
+    return out
 
 
 def embedding_lookup(weight: Tensor, ids: Array) -> Tensor:

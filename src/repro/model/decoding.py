@@ -383,8 +383,7 @@ class SampleRowState(RowDecodeState):
 
     def advance(self, logits: np.ndarray) -> tuple[list[int], list[int] | None]:
         z = _scaled_logits(logits[0], self.temperature)
-        order = np.argsort(-z, kind="stable")
-        token = _sample_from_order(z, order, top_k=self.top_k,
+        token = _sample_from_order(z, _top_k_order(z, self.top_k), top_k=self.top_k,
                                    top_p=self.top_p, rng=self.rng)
         self.steps += 1
         if token == self.eos_id:
@@ -579,6 +578,23 @@ def _scaled_logits(logits: np.ndarray, temperature: float) -> np.ndarray:
     """
     z = np.asarray(logits, dtype=np.float64)
     return z / temperature if temperature != 1.0 else z
+
+
+def _top_k_order(z: np.ndarray, top_k: int) -> np.ndarray:
+    """The stable descending order of ``z``, exact in its first ``top_k`` ids.
+
+    For ``0 < top_k < z.size`` an ``argpartition`` finds the ``top_k``-th
+    largest value; every id at least that large survives (ties included) and
+    only the survivors are stable-sorted.  They are a prefix of the full
+    stable argsort :func:`_sample_token` takes, so the draw is the same.
+    """
+    neg = -z
+    if 0 < top_k < z.size:
+        kth = neg[np.argpartition(neg, top_k - 1)[top_k - 1]]
+        survivors = np.flatnonzero(neg <= kth)
+        if survivors.size >= top_k:  # fewer only when ``kth`` is NaN
+            return survivors[np.argsort(neg[survivors], kind="stable")]
+    return np.argsort(neg, kind="stable")
 
 
 def _sample_from_order(z: np.ndarray, order: np.ndarray, *, top_k: int,

@@ -3,23 +3,32 @@
 Every block has two forward paths:
 
 * ``__call__`` — the tape path used for training (Tensor in, Tensor out);
-* ``forward_data`` — the no-tape inference kernel on raw ndarrays, running
+* ``forward_data`` — the no-tape inference path on raw ndarrays, running
   at the execution mode's compute dtype.  Parameters keep float64 masters;
   :func:`cast_param` memoises the dtype-cast copies the fast path reads,
   keyed by each parameter's :attr:`~repro.model.autograd.Tensor.version`
   (bumped by the optimiser / checkpoint loader on in-place updates), so a
   float32 decode never pays a per-step cast and never reads stale weights.
 
-The ``forward_data`` kernels replicate the tape path's float expressions
-operation for operation, which is what makes the float64 fast path bitwise
-identical to the tape reference (see ``tests/test_inference_fastpath.py``).
+Linear and GELU have one kernel each (:func:`linear_data`,
+:func:`gelu_data`) that ``forward_data`` calls and that their tape ops
+(:func:`linear`, :func:`gelu`) wrap with a hand-written backward.  Each
+kernel keeps the float expressions of the composed Tensor chain it replaced,
+operation for operation (in-place where that gives the same bits), and each
+backward replays that chain's backward, so outputs and gradients are bitwise
+those of the chain (``tests/test_fused_kernels.py``); the tape keeps only
+what a backward reads (Linear its input, GELU its input and
+``tanh(inner)``).  LayerNorm still trains through its composed chain, and
+its ``forward_data`` replicates that chain's float expressions operation for
+operation.  Both ways the float64 fast path is bitwise identical to the
+tape reference (see ``tests/test_inference_fastpath.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, embedding_lookup, parameter
+from .autograd import Tensor, _unbroadcast, embedding_lookup, fused_op, parameter
 
 
 def cast_param(cache: dict, param: Tensor, dtype) -> np.ndarray:
@@ -40,13 +49,72 @@ def cast_param(cache: dict, param: Tensor, dtype) -> np.ndarray:
     return cast
 
 
-def gelu_data(x: np.ndarray) -> np.ndarray:
-    """Raw-ndarray GELU (tanh approximation), matching :meth:`Tensor.gelu`
-    expression for expression (the cubic is explicit multiplies there too)."""
-    c = float(np.sqrt(2.0 / np.pi))
-    inner = c * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    return 0.5 * x * (1.0 + t)
+# ----------------------------------------------------------------- kernels
+
+
+def linear_data(x: np.ndarray, weight: np.ndarray,
+                bias: np.ndarray | None) -> np.ndarray:
+    """``x W + b`` in one output buffer (the bias is added in place)."""
+    out = np.matmul(x, weight)
+    if bias is not None:
+        out += bias
+    return out
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
+    """:func:`linear_data` as one tape op; backward reads only ``x`` and
+    ``weight``."""
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = linear_data(x.data, weight.data, None if bias is None else bias.data)
+    return fused_op(out, parents, _linear_backward, x.data, weight.data)
+
+
+def _linear_backward(g: np.ndarray, needs: tuple[bool, ...], x: np.ndarray,
+                     weight: np.ndarray) -> dict[int, np.ndarray]:
+    """``{0: dx, 1: dW, 2: db}``, the matmul and bias-add backward of the
+    composed chain."""
+    grads = {}
+    if needs[0]:
+        grads[0] = _unbroadcast(np.matmul(g, np.swapaxes(weight, -1, -2)), x.shape)
+    if needs[1]:
+        grads[1] = _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), weight.shape)
+    if len(needs) > 2 and needs[2]:
+        grads[2] = _unbroadcast(g, weight.shape[-1:])
+    return grads
+
+
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
+def gelu_data(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU (tanh approximation): ``(value, tanh(inner))``.
+
+    The cubic is explicit multiplies: NumPy's float ``**`` lowers to a full
+    ``pow`` for exponent 3, an order of magnitude slower on the FFN path.
+    """
+    inner = x * x
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= _GELU_C
+    t = np.tanh(inner, out=inner)
+    value = 0.5 * x
+    value *= 1.0 + t
+    return value, t
+
+
+def gelu(x: Tensor) -> Tensor:
+    """:func:`gelu_data` as one tape op; backward reads ``x`` and
+    ``tanh(inner)``."""
+    value, t = gelu_data(x.data)
+    return fused_op(value, (x,), _gelu_backward, x.data, t)
+
+
+def _gelu_backward(g: np.ndarray, needs: tuple[bool], x: np.ndarray,
+                   t: np.ndarray) -> dict[int, np.ndarray]:
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    dt = (1.0 - t ** 2) * dinner
+    return {0: g * (0.5 * (1.0 + t) + 0.5 * x * dt)}
 
 
 class Module:
@@ -100,18 +168,14 @@ class Linear(Module):
         self._cast_bias: dict = {}
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
     def forward_data(self, x: np.ndarray, dtype) -> np.ndarray:
         """No-tape affine projection; weights stored pre-oriented ``(in, out)``
         so the projection is a single matmul with no transpose."""
-        out = np.matmul(x, cast_param(self._cast_weight, self.weight, dtype))
-        if self.bias is not None:
-            out += cast_param(self._cast_bias, self.bias, dtype)
-        return out
+        bias = (None if self.bias is None
+                else cast_param(self._cast_bias, self.bias, dtype))
+        return linear_data(x, cast_param(self._cast_weight, self.weight, dtype), bias)
 
 
 class LayerNorm(Module):
@@ -171,12 +235,12 @@ class FeedForward(Module):
 
     def __call__(self, x: Tensor, *, rng: np.random.Generator | None = None,
                  training: bool = False) -> Tensor:
-        hidden = self.fc1(x).gelu()
-        hidden = hidden.dropout(self.dropout, rng, training)
+        hidden = gelu(self.fc1(x)).dropout(self.dropout, rng, training)
         return self.fc2(hidden)
 
     def forward_data(self, x: np.ndarray, dtype) -> np.ndarray:
-        return self.fc2.forward_data(gelu_data(self.fc1.forward_data(x, dtype)), dtype)
+        hidden, _ = gelu_data(self.fc1.forward_data(x, dtype))
+        return self.fc2.forward_data(hidden, dtype)
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:

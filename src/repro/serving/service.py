@@ -434,15 +434,26 @@ class InferenceService:
                 entry: ModelEntry) -> Iterator[dict]:
         # Runs from the first next(): a full admission queue ends a started
         # stream like any failed decode.  The sink and the done-callback feed
-        # one queue (token strings, then the response future); the decode
-        # caches its result whether or not this generator is still read.
+        # one queue (token strings, a cache hit's deferred resolve, then the
+        # response future); the decode caches its result whether or not this
+        # generator is still read.
         chunks: SimpleQueue = SimpleQueue()
         self._advise_async(request, entry, on_token=chunks.put) \
             .add_done_callback(chunks.put)
         index = 0
-        while isinstance(item := chunks.get(), str):
-            yield {"type": "token", "index": index, "token": item}
-            index += 1
+        try:
+            while not isinstance(item := chunks.get(), Future):
+                if isinstance(item, str):
+                    yield {"type": "token", "index": index, "token": item}
+                    index += 1
+                else:
+                    item()  # resolves the future, which arrives next
+        finally:
+            # A hit's stream closed before its resolve still serves (and
+            # counts) the request.
+            while not chunks.empty():
+                if callable(pending := chunks.get_nowait()):
+                    pending()
         response = item.result()  # a failed decode raises here
         self._m.streams.inc()
         if request.verify is not None:
@@ -530,16 +541,18 @@ class InferenceService:
             raise ApiError.internal(str(exc)) from exc
 
     def _advise_async(self, request: AdviseRequest, entry: ModelEntry, *,
-                      on_token: Callable[[str], None] | None = None) -> Future:
+                      on_token: Callable[[str | partial], None] | None = None
+                      ) -> Future:
         """The one request path (cache → single-flight → scheduler); the
         future resolves to the request's :class:`AdviseResponse`.
 
         ``entry`` is the resolved registry entry.  The owner of a decode
         holds a lease on it from submit until the decode resolves, so a
         concurrent hot-swap drains behind queued work instead of dropping it.
-        ``on_token`` is a stream's sink for generated token strings: a cache
-        hit replays its cached tokens into it before resolving, a miss feeds
-        it per decode iteration.
+        ``on_token`` is a stream's sink for generated token strings: a miss
+        feeds it per decode iteration; a cache hit replays its cached tokens
+        into it and then hands it the deferred resolve, which the stream
+        runs after yielding them.
         """
         self._require_not_draining()
         start = time.perf_counter()
@@ -552,10 +565,14 @@ class InferenceService:
                           start=start, key=key, strategy=strategy, entry=entry)
 
         def from_cache(hit: PredictionResult) -> Future:
-            if on_token is not None:
-                for token in hit.generated_tokens:
-                    on_token(token)
-            resolve(hit, cached=True)
+            if on_token is None:
+                resolve(hit, cached=True)
+                return response
+            for token in hit.generated_tokens:
+                on_token(token)
+            # A stream sends its tokens before its response is built: the
+            # sink takes the resolve last and the stream runs it.
+            on_token(partial(resolve, hit, cached=True))
             return response
 
         hit = self.cache.get(key) if self.cache is not None else None

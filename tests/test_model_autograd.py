@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.model.autograd import Tensor, concat, embedding_lookup, numerical_gradient, parameter
+from repro.model.layers import gelu
+from repro.model.loss import cross_entropy
 
 
 def _check_gradient(fn, shape, seed=0, tolerance=1e-6):
@@ -38,7 +40,7 @@ class TestElementwiseGradients:
     def test_tanh_relu_gelu(self):
         _check_gradient(lambda t: t.tanh().sum(), (6,))
         _check_gradient(lambda t: (t + 0.3).relu().sum(), (6,), seed=3)
-        _check_gradient(lambda t: t.gelu().sum(), (6,), tolerance=1e-5)
+        _check_gradient(lambda t: gelu(t).sum(), (6,), tolerance=1e-5)
 
     def test_neg(self):
         _check_gradient(lambda t: (-t * 2.0).sum(), (3, 2))
@@ -91,7 +93,10 @@ class TestMatmulAndShapes:
 
 class TestSoftmaxAndMasking:
     def test_log_softmax_gradient(self):
-        _check_gradient(lambda t: (t.log_softmax(axis=-1) * 0.3).sum(), (2, 5))
+        """The fused log-softmax + NLL op (no smoothing, no padding)."""
+        targets = np.array([[3, 0, 4]])
+        _check_gradient(lambda t: cross_entropy(t, targets, pad_id=-1).loss * 0.3,
+                        (1, 3, 5))
 
     def test_dropout_train_and_eval(self):
         x = Tensor(np.ones((100,)), requires_grad=True)

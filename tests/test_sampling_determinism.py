@@ -24,7 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.autograd import inference_mode, tape_mode
-from repro.model.decoding import GreedyStrategy, SampleStrategy, sample_decode
+from repro.model.decoding import (
+    GreedyStrategy,
+    SampleStrategy,
+    _sample_from_order,
+    _sample_token,
+    _top_k_order,
+    sample_decode,
+)
 
 from test_decoding_differential import (
     DECODE,
@@ -75,6 +82,32 @@ def test_top_k_one_is_greedy(sources, seed):
                                [(source, GreedyStrategy()) for source in sources],
                                max_length=10)
     assert sampled == greedy
+
+
+@settings(max_examples=200, deadline=None)
+@given(logits=st.lists(st.sampled_from([-3.0, -0.0, 0.0, 0.25, 1.5, 1.5 + 2**-40]),
+                       min_size=1, max_size=40),
+       top_k=st.integers(min_value=0, max_value=45),
+       temperature=st.sampled_from([0.5, 1.0, 1.7]),
+       top_p=st.sampled_from([0.3, 0.9, 1.0]),
+       seed=st.integers(min_value=0, max_value=2**31))
+def test_partial_top_k_order_matches_the_full_stable_sort(logits, top_k,
+                                                          temperature, top_p,
+                                                          seed):
+    """The row state's ``argpartition`` order agrees with the sequential
+    oracle's full stable argsort in its first ``top_k`` ids, ties included,
+    and so draws the same token from the same seed."""
+    z = np.asarray(logits) / temperature
+    order = _top_k_order(z, top_k)
+    full = np.argsort(-z, kind="stable")
+    kept = top_k if 0 < top_k < z.size else z.size
+    assert np.array_equal(order[:kept], full[:kept])
+    row = _sample_from_order(z, order, top_k=top_k, top_p=top_p,
+                             rng=np.random.default_rng(seed))
+    oracle = _sample_token(np.asarray(logits), temperature=temperature,
+                           top_k=top_k, top_p=top_p,
+                           rng=np.random.default_rng(seed), eos_id=2)
+    assert row == oracle
 
 
 def test_same_seed_reproduces_and_different_seeds_diverge():

@@ -318,6 +318,42 @@ def test_streamed_miss_and_hit_yield_the_same_token_chunks(service):
         miss[-1]["response"]["generated_code"]
 
 
+def test_streamed_hit_yields_its_first_token_before_building_the_response(
+        service, monkeypatch):
+    """A hit's tokens are known at lookup: the stream sends the first one
+    before ``_resolve`` anchors the advice and builds the response."""
+    request = AdviseRequest(
+        code="int main() { int first_token_probe = 17; return first_token_probe; }")
+    assert len(list(service.advise_stream(request))) > 2  # populates the cache
+    events = []
+    resolve = service._resolve
+
+    def recording(*args, **kwargs):
+        events.append("resolve")
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(service, "_resolve", recording)
+    stream = service.advise_stream(request)
+    first = next(stream)
+    events.append(first["type"])
+    final = list(stream)[-1]
+    assert final["response"]["cached"] is True
+    assert events == ["token", "resolve"]
+
+
+def test_streamed_hit_closed_after_its_first_token_still_counts(service):
+    request = AdviseRequest(
+        code="int main() { int closed_hit_probe = 19; return closed_hit_probe; }")
+    assert len(list(service.advise_stream(request))) > 2  # populates the cache
+    before = service.metrics()
+    stream = service.advise_stream(request)
+    assert next(stream)["type"] == "token"
+    stream.close()
+    after = service.metrics()
+    assert after["requests_total"] == before["requests_total"] + 1
+    assert after["cache_hits"] == before["cache_hits"] + 1
+
+
 def test_each_served_request_counts_once(tiny_model, pi_source):
     """A miss, a hit, a stream and a job item: /healthz, /v1/models and
     /metrics ``requests_by_model`` all read 4 for the serving model."""
